@@ -109,6 +109,8 @@ pub struct PhaseStats {
     pub gr_ns: u64,
     /// Per-function alias-matrix builds.
     pub matrices_ns: u64,
+    /// Dropping the analysis an incremental rebuild superseded.
+    pub teardown_ns: u64,
     /// Snapshot deserialization (section decode + reassembly).
     pub load_ns: u64,
 }
@@ -121,6 +123,7 @@ impl PhaseStats {
             + self.assemble_ns
             + self.gr_ns
             + self.matrices_ns
+            + self.teardown_ns
             + self.load_ns
     }
 
@@ -131,6 +134,7 @@ impl PhaseStats {
         self.assemble_ns += other.assemble_ns;
         self.gr_ns += other.gr_ns;
         self.matrices_ns += other.matrices_ns;
+        self.teardown_ns += other.teardown_ns;
         self.load_ns += other.load_ns;
     }
 }

@@ -344,6 +344,9 @@ fn canonicalize_states_on(
 pub(crate) struct CallSite {
     pub(crate) caller: FuncId,
     pub(crate) args: Vec<ValueId>,
+    /// Whether the call's result is a pointer, i.e. whether the caller
+    /// joins the callee's return state.
+    pub(crate) ptr_result: bool,
 }
 
 /// The call sites targeting each function, callers in id order, sites
@@ -366,6 +369,7 @@ pub(crate) fn build_callers(m: &Module) -> Vec<Vec<CallSite>> {
                     callers[target.index()].push(CallSite {
                         caller: fid,
                         args: args.clone(),
+                        ptr_result: f.value(v).ty() == Some(Ty::Ptr),
                     });
                 }
             }
@@ -378,6 +382,90 @@ pub(crate) fn build_callers(m: &Module) -> Vec<Vec<CallSite>> {
 /// session caches these across edits).
 pub(crate) fn build_cfgs(m: &Module) -> Vec<Cfg> {
     m.func_ids().map(|f| Cfg::new(m.function(f))).collect()
+}
+
+/// Whether `f` has a pointer formal, i.e. whether its visit joins its
+/// callers' actuals.
+pub(crate) fn has_ptr_formal(m: &Module, f: FuncId) -> bool {
+    m.function(f).param_tys().contains(&Ty::Ptr)
+}
+
+/// The "reads" relation of the sweep: `h` reads `g` when a visit of
+/// `h` joins one of `g`'s states — `g` passes an actual to a pointer
+/// formal of `h`, or a pointer call result in `h` joins `g`'s return.
+/// Both directions, each list sorted and duplicate-free.
+pub(crate) struct Reads {
+    reads: Vec<Vec<FuncId>>,
+    read_by: Vec<Vec<FuncId>>,
+}
+
+impl Reads {
+    pub(crate) fn build(m: &Module, callers: &[Vec<CallSite>]) -> Self {
+        let nf = m.num_functions();
+        let mut reads: Vec<Vec<FuncId>> = vec![Vec::new(); nf];
+        let mut read_by: Vec<Vec<FuncId>> = vec![Vec::new(); nf];
+        for (g, sites) in callers.iter().enumerate() {
+            let g = FuncId::new(g);
+            let formal = has_ptr_formal(m, g);
+            for site in sites {
+                if formal {
+                    reads[g.index()].push(site.caller);
+                    read_by[site.caller.index()].push(g);
+                }
+                if site.ptr_result {
+                    reads[site.caller.index()].push(g);
+                    read_by[g.index()].push(site.caller);
+                }
+            }
+        }
+        for list in reads.iter_mut().chain(read_by.iter_mut()) {
+            list.sort_unstable();
+            list.dedup();
+        }
+        Reads { reads, read_by }
+    }
+
+    /// The functions whose visits read `g`'s states.
+    pub(crate) fn readers(&self, g: FuncId) -> &[FuncId] {
+        &self.read_by[g.index()]
+    }
+
+    /// The edit's slice (see [`GrSolver`]'s docs): `D` is `seeds`
+    /// closed under "is read by"; the result marks `R`, which is `D`
+    /// closed under "reads" and under SCC membership (so `R`'s SCCs are
+    /// whole and its schedule is the condensation's, restricted).
+    pub(crate) fn slice(&self, cond: &Condensation, seeds: &[FuncId]) -> Vec<bool> {
+        let mut in_d = vec![false; self.reads.len()];
+        let mut work: Vec<FuncId> = Vec::new();
+        for &f in seeds {
+            if !std::mem::replace(&mut in_d[f.index()], true) {
+                work.push(f);
+            }
+        }
+        while let Some(g) = work.pop() {
+            for &h in self.readers(g) {
+                if !std::mem::replace(&mut in_d[h.index()], true) {
+                    work.push(h);
+                }
+            }
+        }
+        let mut in_r = in_d;
+        work.extend(
+            in_r.iter()
+                .enumerate()
+                .filter(|(_, &d)| d)
+                .map(|(f, _)| FuncId::new(f)),
+        );
+        while let Some(h) = work.pop() {
+            let mates = cond.members(cond.scc_of(h));
+            for &g in self.reads[h.index()].iter().chain(mates) {
+                if !std::mem::replace(&mut in_r[g.index()], true) {
+                    work.push(g);
+                }
+            }
+        }
+        in_r
+    }
 }
 
 /// The widening cut set (the paper's Definition 4 join points): every
@@ -699,6 +787,52 @@ fn remap_state(s: &mut PtrState, xl: &OverlayXlate) {
 /// the scratch analysis execute the same code over each component —
 /// byte-identity is structural, and `tests/session_equivalence.rs`
 /// re-verifies it on random modules and edit streams.
+///
+/// # The edit slice
+///
+/// GR is context-insensitive, so a visit of `h` reads other functions'
+/// states in two places only: its pointer formals join its callers'
+/// actuals, and its pointer-typed internal-call results join the
+/// callees' returns. That is the *reads* relation ([`Reads`]): `h`
+/// reads `g` when `g` passes an actual to a pointer formal of `h`, or a
+/// pointer call result in `h` joins `g`'s return. A component need not
+/// be re-solved whole after an edit; the session re-solves a slice of
+/// it at function granularity:
+///
+/// * **`D`** is seeded with the edited and added functions, every
+///   reader of an edited or removed function in the old call graph and
+///   in the new one, and every member of an SCC whose membership
+///   changed; it is then closed under "is read by". A function outside
+///   `D` reads nothing inside it, so its whole trajectory — every
+///   state after every visit of every sweep — is the one the previous
+///   solve computed: it sees the same inputs in the same order. (Order
+///   is invariant because the schedule orders two call-adjacent
+///   functions by condensation level — callee first bottom-up, caller
+///   first top-down — or, inside one SCC, by id, which removals shift
+///   monotonically; only an SCC whose membership changed can reorder a
+///   pair, and its members are seeds.)
+/// * **`R`** is `D` plus everything `R` reads, closed, plus whole SCCs.
+///   `R` reads nothing outside itself, so sweeping only `R`'s SCCs, in
+///   the component's condensation order, reproduces `R`'s scratch
+///   trajectory exactly; every function outside `R` keeps its previous
+///   final states.
+/// * **Sweep count.** The scratch loop runs until *no* function
+///   changes, so the component's `ascending_sweeps` is the larger of
+///   `R`'s own count and one more than the last ascending sweep in
+///   which a function outside `R` changed. The solver records that
+///   last changing sweep per function ([`GrSolver::settle`]), and the
+///   session persists it.
+/// * **Descending and the cap.** Descending steps on a stable state are
+///   no-ops, so `R`'s descending loop may stop on its own early exit.
+///   Where the cap is involved the slice falls back to re-solving the
+///   whole component: when a function outside `R` last ran in a
+///   component whose ascent tripped, when `R`'s own ascent trips, or
+///   when the module-wide trip flag flips.
+///
+/// When every function is reached, the slice is the whole component —
+/// there is no second code path, only a smaller schedule.
+/// `tests/gr_slice_equivalence.rs` pins slice ≡ scratch after every
+/// edit of random streams, with and without a save→load between edits.
 pub(crate) struct GrSolver<'a> {
     pub(crate) ctx: SweepCtx<'a>,
     pub(crate) config: GrConfig,
@@ -712,6 +846,10 @@ pub(crate) struct GrSolver<'a> {
     pub(crate) ret_states: Vec<PtrState>,
     /// Ascending sweeps the fixpoint took (max over components).
     pub(crate) sweeps: u32,
+    /// Per function: the number of ascending sweeps up to and including
+    /// the last one that changed it (0: no sweep changed it). Its
+    /// component's sweep count is one more than the largest of these.
+    pub(crate) settle: Vec<u32>,
     /// The pool wave levels dispatch onto (a width-1 pool runs every
     /// sweep inline, the serial reference schedule).
     pub(crate) pool: &'a pool::WorkerPool,
@@ -733,10 +871,9 @@ impl<'a> GrSolver<'a> {
         pool: &'a pool::WorkerPool,
     ) -> Self {
         let nf = m.num_functions();
-        let states = m
-            .func_ids()
-            .map(|f| vec![PtrState::bottom(); m.function(f).num_values()])
-            .collect();
+        // Filled per function by `seed_function`: functions the solver
+        // never sweeps cost no allocation.
+        let states = vec![Vec::new(); nf];
         // The clone starts with fresh counters: the bootstrap arena's
         // op stats are already reported by the range analysis itself,
         // and the canonical GR arena absorbs this solver's stats at
@@ -757,6 +894,7 @@ impl<'a> GrSolver<'a> {
             states,
             ret_states: vec![PtrState::bottom(); nf],
             sweeps: 0,
+            settle: vec![0; nf],
             pool,
         }
     }
@@ -796,6 +934,19 @@ impl<'a> GrSolver<'a> {
         schedules
     }
 
+    /// `levels` restricted to the SCCs `keep` accepts, empty levels
+    /// elided: the schedule of an edit slice, in the same order.
+    pub(crate) fn restrict_schedule(
+        levels: &[Vec<u32>],
+        keep: impl Fn(u32) -> bool,
+    ) -> Vec<Vec<u32>> {
+        levels
+            .iter()
+            .map(|level| level.iter().copied().filter(|&scc| keep(scc)).collect())
+            .filter(|level: &Vec<u32>| !level.is_empty())
+            .collect()
+    }
+
     /// The full fixpoint: ascend every component, combine the cap
     /// verdicts, then finish every component under the shared flag.
     ///
@@ -825,10 +976,13 @@ impl<'a> GrSolver<'a> {
         }
     }
 
-    /// Invariant seeds of one function: allocation sites, globals,
-    /// unknown sources.
+    /// Resets one function to its starting point: every state ⊥ except
+    /// the invariant seeds (allocation sites, globals, unknown sources).
     pub(crate) fn seed_function(&mut self, fid: FuncId) {
         let f = self.ctx.m.function(fid);
+        self.states[fid.index()] = vec![PtrState::bottom(); f.num_values()];
+        self.ret_states[fid.index()] = PtrState::bottom();
+        self.settle[fid.index()] = 0;
         for v in f.value_ids() {
             if f.value(v).ty() != Some(Ty::Ptr) {
                 continue;
@@ -875,7 +1029,7 @@ impl<'a> GrSolver<'a> {
             // Alternate direction: bottom-up propagates returns to
             // callers in one sweep, top-down propagates actuals to
             // formals in one sweep.
-            let changed = self.sweep_levels(levels, widen, false, sweeps % 2 == 0);
+            let changed = self.sweep_levels(levels, widen, false, sweeps % 2 == 0, Some(sweeps));
             sweeps += 1;
             if !changed {
                 return (sweeps, false);
@@ -897,10 +1051,10 @@ impl<'a> GrSolver<'a> {
     ) {
         if tripped {
             self.force_top_join_points(members);
-            self.sweep_levels(levels, false, false, true);
+            self.sweep_levels(levels, false, false, true, None);
         }
         for step in 0..self.config.descending_steps {
-            if !self.sweep_levels(levels, false, true, step % 2 == 0) {
+            if !self.sweep_levels(levels, false, true, step % 2 == 0, None) {
                 break;
             }
         }
@@ -912,8 +1066,16 @@ impl<'a> GrSolver<'a> {
     /// concurrently (each interning into a private overlay, merged back
     /// in SCC order), which cannot change any result because same-level
     /// SCCs share no call edge and the overlay merge only translates
-    /// ids.
-    fn sweep_levels(&mut self, levels: &[Vec<u32>], widen: bool, descend: bool, up: bool) -> bool {
+    /// ids. `ascent` is the index of an ascending sweep, whose changes
+    /// are recorded in [`GrSolver::settle`].
+    fn sweep_levels(
+        &mut self,
+        levels: &[Vec<u32>],
+        widen: bool,
+        descend: bool,
+        up: bool,
+        ascent: Option<u32>,
+    ) -> bool {
         let GrSolver {
             ctx,
             config,
@@ -921,9 +1083,16 @@ impl<'a> GrSolver<'a> {
             arena,
             states,
             ret_states,
+            settle,
             pool,
             ..
         } = self;
+        let mut record = |f: FuncId, ch: bool| {
+            if let (true, Some(k)) = (ch, ascent) {
+                settle[f.index()] = k + 1;
+            }
+            ch
+        };
         let ctx: &SweepCtx = ctx;
         let cond: &Condensation = cond;
         let config: GrConfig = *config;
@@ -942,7 +1111,8 @@ impl<'a> GrSolver<'a> {
                 };
                 for &scc in level {
                     for &f in cond.members(scc) {
-                        changed |= ctx.sweep_function(&mut store, arena, f, widen, descend);
+                        let ch = ctx.sweep_function(&mut store, arena, f, widen, descend);
+                        changed |= record(f, ch);
                     }
                 }
                 continue;
@@ -982,10 +1152,13 @@ impl<'a> GrSolver<'a> {
                         global_states,
                         global_rets,
                     };
-                    let mut ch = false;
-                    for &f in cond.members(scc) {
-                        ch |= ctx.sweep_function(&mut store, &mut task_arena, f, widen, descend);
-                    }
+                    let ch: Vec<bool> = cond
+                        .members(scc)
+                        .iter()
+                        .map(|&f| {
+                            ctx.sweep_function(&mut store, &mut task_arena, f, widen, descend)
+                        })
+                        .collect();
                     (
                         scc,
                         store.local_states,
@@ -999,9 +1172,11 @@ impl<'a> GrSolver<'a> {
             // Merge overlays back in SCC order (results preserve item
             // order) — deterministic regardless of thread timing.
             for (scc, mut local_states, mut local_rets, ch, part) in results {
-                changed |= ch;
                 let xl = arena.adopt(part);
                 let members = cond.members(scc);
+                for (&f, ch) in members.iter().zip(ch) {
+                    changed |= record(f, ch);
+                }
                 for func in &mut local_states {
                     for s in func.iter_mut() {
                         remap_state(s, &xl);

@@ -40,6 +40,12 @@
 //! can split a section into independent byte slices up front and
 //! decode the items on its worker pool — the framing is what makes the
 //! parallel warm-start load possible. Saves stay byte-deterministic.
+//!
+//! Format version 3 extends the component section with the GR solve's
+//! per-function sweep record (see
+//! [`AnalysisSession`](crate::AnalysisSession)'s edit slice), a
+//! `u32` per function; a version-2 stream fails to load with
+//! [`PersistError::UnsupportedVersion`].
 
 use std::fmt;
 use std::hash::Hasher;
@@ -55,8 +61,11 @@ pub const SERVICE_MAGIC: [u8; 8] = *b"SRA1SERV";
 /// Bumped on any incompatible change to the layout. Loaders reject
 /// other versions with [`PersistError::UnsupportedVersion`].
 /// Version 2 added per-item length framing to the part, GR-state and
-/// matrix sections so loads can decode them in parallel.
-pub const FORMAT_VERSION: u32 = 2;
+/// matrix sections so loads can decode them in parallel. Version 3
+/// records the module-wide GR trip flag once and, per function, the
+/// last ascending sweep that changed it, so the first edit after a load
+/// re-solves only its slice.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Section tags, in stream order.
 pub(crate) mod tag {
@@ -1263,6 +1272,13 @@ mod tests {
         assert!(matches!(
             read_header(&mut &bad[..], &MAGIC),
             Err(PersistError::UnsupportedVersion(_))
+        ));
+        // A version-2 stream (no GR sweep record) is refused.
+        let mut old = out.clone();
+        old[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            read_header(&mut &old[..], &MAGIC),
+            Err(PersistError::UnsupportedVersion(2))
         ));
         // A flipped payload byte fails the section checksum.
         let mut bad = out.clone();

@@ -84,6 +84,16 @@ pub enum ServiceError {
     /// pre-built module ([`AliasService::add_tenant`]) rather than from
     /// text ([`AliasService::add_tenant_source`]).
     NotSourceBacked(String),
+    /// A query named a pair the answering epoch's module lacks — e.g.
+    /// one taken from an earlier epoch or from another tenant: `v` is
+    /// not a value of function `f`, or (with `v` the pair's first
+    /// value) `f` is not a function of the module.
+    UnknownValue {
+        /// The queried function.
+        f: FuncId,
+        /// The value it lacks.
+        v: ValueId,
+    },
 }
 
 impl fmt::Display for ServiceError {
@@ -95,6 +105,9 @@ impl fmt::Display for ServiceError {
             ServiceError::Compile(e) => write!(f, "{e}"),
             ServiceError::NotSourceBacked(n) => {
                 write!(f, "tenant {n:?} is not source-backed")
+            }
+            ServiceError::UnknownValue { f: func, v } => {
+                write!(f, "the module has no value {v} in function {func}")
             }
         }
     }
@@ -151,6 +164,32 @@ impl EpochSnapshot {
         q: ValueId,
     ) -> (AliasResult, Option<WhichTest>) {
         self.frozen.alias_with_test(f, p, q)
+    }
+
+    /// [`EpochSnapshot::alias_with_test`] made total: the pair is
+    /// checked against this epoch's module before anything is indexed,
+    /// so a pair from an earlier epoch or another tenant is an error,
+    /// never a panic.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::UnknownValue`] when the module lacks `f`, `p` or
+    /// `q`.
+    pub fn query(
+        &self,
+        f: FuncId,
+        p: ValueId,
+        q: ValueId,
+    ) -> Result<(AliasResult, Option<WhichTest>), ServiceError> {
+        let m = self.module();
+        if f.index() >= m.num_functions() {
+            return Err(ServiceError::UnknownValue { f, v: p });
+        }
+        let values = m.function(f).num_values();
+        if let Some(v) = [p, q].into_iter().find(|v| v.index() >= values) {
+            return Err(ServiceError::UnknownValue { f, v });
+        }
+        Ok(self.frozen.alias_with_test(f, p, q))
     }
 }
 
@@ -473,12 +512,14 @@ impl AliasService {
     }
 
     /// Convenience one-shot query: grabs the tenant's current snapshot
-    /// and answers from it, returning the answering epoch alongside
-    /// the verdict.
+    /// and answers from it ([`EpochSnapshot::query`]), returning the
+    /// answering epoch alongside the verdict.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NoSuchTenant`] when the name is unknown.
+    /// [`ServiceError::NoSuchTenant`] when the name is unknown, and
+    /// [`ServiceError::UnknownValue`] when the answering epoch's module
+    /// lacks the pair.
     #[allow(clippy::type_complexity)]
     pub fn query(
         &self,
@@ -488,7 +529,7 @@ impl AliasService {
         q: ValueId,
     ) -> Result<(u64, (AliasResult, Option<WhichTest>)), ServiceError> {
         let snap = self.snapshot(name)?;
-        Ok((snap.epoch(), snap.alias_with_test(f, p, q)))
+        Ok((snap.epoch(), snap.query(f, p, q)?))
     }
 
     /// Runs `body` with the tenant's exclusive [`TenantWriter`].

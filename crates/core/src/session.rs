@@ -5,7 +5,7 @@
 //! module: it owns the parsed [`Module`] plus *all* cached analysis
 //! state — the per-function bootstrap-range and LR parts with their
 //! pre-budgeted symbol-id blocks, the per-function CFGs, the
-//! [`CallGraph`], the GR fixpoint split per weakly connected component,
+//! [`CallGraph`], the GR fixpoint with its per-function sweep record,
 //! and one cached [`AliasMatrix`] per function — and accepts
 //! function-granularity updates ([`AnalysisSession::replace_function`],
 //! [`AnalysisSession::add_function`],
@@ -29,20 +29,21 @@
 //!   are **rebased**: their arenas are re-imported under a monotone
 //!   symbol renaming ([`sra_symbolic::ExprArena::import_range`]), which
 //!   commutes with the analysis, instead of re-analyzed.
-//! * **GR components** — interprocedural dataflow zig-zags along call
-//!   edges in both directions (returns up, actuals down), so the
-//!   region an edit can reach is the edited function's SCC plus every
-//!   SCC connected to it in either direction: its *weakly connected
-//!   component* of the call graph. The session re-seeds and re-solves
-//!   dirty components only (in the same alternating bottom-up/top-down
-//!   condensation order the scratch solver specs), re-verifying
-//!   convergence; components untouched by the edit keep their cached
-//!   fixpoint — their states are *imported* into the rebuild's fresh
-//!   canonical arena under the (monotone) symbol/location renaming the
-//!   edit induced, never re-solved. The one module-wide coupling is the
-//!   ascending cap: its trip flag is OR-ed across components, and a
-//!   cached component whose post phase ran under a different flag is
-//!   re-solved.
+//! * **GR slices** — interprocedural dataflow crosses call edges only,
+//!   and a function's visit reads other functions' states only through
+//!   its pointer formals (callers' actuals) and pointer call results
+//!   (callees' returns). An edit re-seeds and re-solves its *slice*:
+//!   the functions whose GR trajectory it can reach plus everything
+//!   they read, in the same alternating bottom-up/top-down condensation
+//!   order the scratch solver specs (see the slice argument on
+//!   `GrSolver`). Every other function — in the edited weak component
+//!   or not — keeps its cached fixpoint: its states are *imported* into
+//!   the rebuild's fresh canonical arena under the (monotone)
+//!   symbol/location renaming the edit induced, never re-solved. The
+//!   one module-wide coupling is the ascending cap: its trip flag is
+//!   OR-ed across components, a component whose post phase ran under a
+//!   different flag is re-solved, and a slice next to functions whose
+//!   component tripped falls back to its whole component.
 //! * **alias matrices** — a matrix caches verdicts only (no symbols,
 //!   no location ids), and verdicts are invariant under the monotone
 //!   renamings above; the matrix of an unedited function is reused
@@ -77,7 +78,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use sra_ir::callgraph::{CallGraph, Condensation};
 use sra_ir::cfg::Cfg;
@@ -178,7 +179,8 @@ pub struct SessionStats {
     /// Subset of [`SessionStats::parts_reused`] whose symbol-id block
     /// moved and was rebased by a monotone renaming.
     pub parts_rebased: usize,
-    /// Weak components whose GR fixpoint was re-solved from seeds.
+    /// Weak components whose GR fixpoint was re-solved from seeds —
+    /// all of it, or the edit's slice of it.
     pub gr_components_solved: usize,
     /// Weak components whose cached GR fixpoint was fully reused.
     pub gr_components_reused: usize,
@@ -186,6 +188,12 @@ pub struct SessionStats {
     /// because the module-wide cap-trip flag changed (their cached
     /// fixpoint was finished under the other flag).
     pub gr_components_refinished: usize,
+    /// Functions the GR solver swept: the edits' slices, plus every
+    /// member of a component re-solved whole.
+    pub gr_functions_resolved: usize,
+    /// Functions whose final GR states were carried over from the
+    /// previous fixpoint without a sweep.
+    pub gr_functions_carried: usize,
     /// Alias matrices rebuilt.
     pub matrices_rebuilt: usize,
     /// Alias matrices reused from cache.
@@ -204,11 +212,12 @@ struct CompCache {
     sweeps: u32,
     /// Whether the component's own ascending loop hit the cap.
     tripped: bool,
-    /// The module-wide trip flag the final states were finished under
-    /// (a later edit that flips it forces a re-solve of this
-    /// component, because the post phase ran under the other flag).
-    final_trip: bool,
 }
+
+/// [`AnalysisSession::gr_settle`] of a function whose component's
+/// ascent tripped the cap: its final states were forced, so they carry
+/// no trajectory a slice could reuse.
+const TRIPPED: u32 = u32::MAX;
 
 /// A long-lived analysis handle over one module; see the module docs.
 /// Cloning is supported (and cheap relative to a rebuild — state
@@ -224,6 +233,16 @@ pub struct AnalysisSession {
     callgraph: CallGraph,
     /// GR fixpoints per weak component.
     components: Vec<CompCache>,
+    /// The module-wide cap-trip flag every component's final states
+    /// were finished under (a later edit that flips it re-solves every
+    /// component, because the post phase ran under the other flag).
+    gr_trip: bool,
+    /// Per function: [`GrSolver::settle`] from the solve that last ran
+    /// it, or [`TRIPPED`].
+    gr_settle: Vec<u32>,
+    /// The call graph's condensation (the old SCCs an edit compares
+    /// against).
+    cond: Condensation,
     /// The assembled whole-module analysis (byte-identical to scratch).
     rbaa: RbaaAnalysis,
     /// Per-function matrices behind [`std::sync::Arc`]s so a
@@ -254,6 +273,9 @@ impl Clone for AnalysisSession {
             cfgs: self.cfgs.clone(),
             callgraph: self.callgraph.clone(),
             components: self.components.clone(),
+            gr_trip: self.gr_trip,
+            gr_settle: self.gr_settle.clone(),
+            cond: self.cond.clone(),
             rbaa: self.rbaa.clone(),
             matrices: self.matrices.clone(),
             // The demand cache is pure memoisation — the fork regrows
@@ -266,6 +288,18 @@ impl Clone for AnalysisSession {
             stats: self.stats,
         }
     }
+}
+
+/// Locks a demand cache. The cache is a pure memo, so a lock poisoned
+/// by a panicking query is recovered by dropping the cache, which the
+/// next query regrows.
+fn demand_lock(m: &Mutex<Option<DemandCache>>) -> MutexGuard<'_, Option<DemandCache>> {
+    m.lock().unwrap_or_else(|poisoned| {
+        m.clear_poison();
+        let mut guard = poisoned.into_inner();
+        *guard = None;
+        guard
+    })
 }
 
 /// An immutable, self-contained snapshot of a session's analysis
@@ -356,7 +390,7 @@ impl FrozenAnalysis {
         q: ValueId,
     ) -> (AliasResult, Option<WhichTest>) {
         if self.mode == QueryMode::Demand {
-            let mut guard = self.demand.lock().expect("demand cache lock");
+            let mut guard = demand_lock(&self.demand);
             let cache = guard.get_or_insert_with(|| self.rbaa.demand_cache());
             return cache.query(&self.rbaa, f, p, q);
         }
@@ -422,8 +456,11 @@ impl AnalysisSession {
             range_parts: Vec::new(),
             lr_parts: Vec::new(),
             cfgs,
+            cond: Condensation::build(&callgraph),
             callgraph,
             components: Vec::new(),
+            gr_trip: false,
+            gr_settle: Vec::new(),
             rbaa,
             matrices: Vec::new(),
             demand: Mutex::new(None),
@@ -432,7 +469,7 @@ impl AnalysisSession {
             stats: SessionStats::default(),
         };
         let all: Vec<usize> = (0..nf).collect();
-        session.rebuild(&all, &[]);
+        session.rebuild(&all, &[], &[]);
         session.stats = SessionStats::default();
         Ok(session)
     }
@@ -471,11 +508,7 @@ impl AnalysisSession {
     /// The demand cache's activity counters; `None` until the first
     /// [`QueryMode::Demand`] query (and always in [`QueryMode::Matrix`]).
     pub fn demand_stats(&self) -> Option<DemandStats> {
-        self.demand
-            .lock()
-            .expect("demand cache lock")
-            .as_ref()
-            .map(|c| c.stats())
+        demand_lock(&self.demand).as_ref().map(|c| c.stats())
     }
 
     /// The assembled analysis — byte-identical to
@@ -542,7 +575,7 @@ impl AnalysisSession {
         q: ValueId,
     ) -> (AliasResult, Option<WhichTest>) {
         if self.config.query_mode == QueryMode::Demand {
-            let mut guard = self.demand.lock().expect("demand cache lock");
+            let mut guard = demand_lock(&self.demand);
             let cache = guard.get_or_insert_with(|| self.rbaa.demand_cache());
             return cache.query(&self.rbaa, f, p, q);
         }
@@ -614,6 +647,7 @@ impl AnalysisSession {
             self.stats.parts_reused += self.module.num_functions();
             self.stats.matrices_reused += self.module.num_functions();
             self.stats.gr_components_reused += self.components.len();
+            self.stats.gr_functions_carried += self.module.num_functions();
             return Ok(());
         }
         let signature_changed = self.module.function(f).param_tys() != body.param_tys()
@@ -637,10 +671,11 @@ impl AnalysisSession {
             self.module.replace_function(f, old);
             return Err(e.into());
         }
+        let old_callees = self.callgraph.callees(f).to_vec();
         self.callgraph
             .replace_function_edges(f, self.module.function(f));
         self.cfgs[f.index()] = Cfg::new(self.module.function(f));
-        self.rebuild(&[f.index()], &[]);
+        self.rebuild(&[f.index()], &[], &old_callees);
         self.stats.edits += 1;
         Ok(())
     }
@@ -654,7 +689,7 @@ impl AnalysisSession {
         }
         self.callgraph.push_function(self.module.function(f));
         self.cfgs.push(Cfg::new(self.module.function(f)));
-        self.rebuild(&[f.index()], &[]);
+        self.rebuild(&[f.index()], &[], &[]);
         self.stats.edits += 1;
         Ok(f)
     }
@@ -679,6 +714,7 @@ impl AnalysisSession {
             return Err(err.into());
         }
         let gone = f.index();
+        let old_callees = self.callgraph.callees(f).to_vec();
         self.module.remove_function(f);
         self.callgraph.remove_function(f);
         self.cfgs.remove(gone);
@@ -701,7 +737,7 @@ impl AnalysisSession {
             }
             true
         });
-        self.rebuild(&[], &[gone]);
+        self.rebuild(&[], &[gone], &old_callees);
         self.stats.edits += 1;
         Ok(())
     }
@@ -793,6 +829,7 @@ impl AnalysisSession {
             self.stats.parts_reused += nf;
             self.stats.matrices_reused += nf;
             self.stats.gr_components_reused += self.components.len();
+            self.stats.gr_functions_carried += nf;
             return Ok(Vec::new());
         }
         // Verify the would-be final module on a scratch clone before
@@ -812,6 +849,12 @@ impl AnalysisSession {
             verify_module(&probe)?;
         }
         // Commit. Mirrors the single-edit paths; cannot fail past here.
+        let old_callees: Vec<FuncId> = replaces
+            .iter()
+            .map(|(f, _)| *f)
+            .chain(removed_ids.iter().copied())
+            .flat_map(|f| self.callgraph.callees(f).iter().copied())
+            .collect();
         let mut edited: Vec<usize> = Vec::new();
         let mut touched: Vec<FuncId> = Vec::new();
         for (f, body) in replaces {
@@ -865,7 +908,7 @@ impl AnalysisSession {
         let added_ids: Vec<FuncId> = (new_nf - num_adds..new_nf).map(FuncId::new).collect();
         edited.extend(added_ids.iter().map(|f| f.index()));
         edited.sort_unstable();
-        self.rebuild(&edited, &removes);
+        self.rebuild(&edited, &removes, &old_callees);
         self.stats.edits += 1;
         Ok(added_ids)
     }
@@ -916,6 +959,7 @@ impl AnalysisSession {
                 fresh.stats.edits += 1;
                 fresh.stats.parts_reanalyzed += new_nf;
                 fresh.stats.gr_components_solved += fresh.components.len();
+                fresh.stats.gr_functions_resolved += new_nf;
                 if fresh.config.query_mode == QueryMode::Matrix {
                     fresh.stats.matrices_rebuilt += new_nf;
                 }
@@ -928,10 +972,16 @@ impl AnalysisSession {
     /// Recomputes the analysis after a structural update. `edited`
     /// holds the current-id indices of replaced/added functions;
     /// `removed` the (sorted, pre-batch) old indices removals vacated
-    /// (for the id-shift remaps of cached state).
-    fn rebuild(&mut self, edited: &[usize], removed: &[usize]) {
+    /// (for the id-shift remaps of cached state); `old_callees` the
+    /// pre-update callees of every replaced or removed function, in
+    /// the old id space (their pointer-formal ones read the edit).
+    fn rebuild(&mut self, edited: &[usize], removed: &[usize], old_callees: &[FuncId]) {
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
         let nf = self.module.num_functions();
+        // Functions below `survivors` existed before the update (the
+        // removals already compacted the part caches; the additions
+        // are not spliced in yet); the rest were added by it.
+        let survivors = self.range_parts.len();
         let is_edited = |i: usize| edited.contains(&i);
         // Old-space metadata needed for the rebase/remap maps, captured
         // before any cache is touched. `old_of[i]` translates a current
@@ -1078,11 +1128,51 @@ impl AnalysisSession {
         // the fresh canonical arena under `map_symbol`/`map_loc`.
         let old_gr_arena = self.rbaa.gr().arena_arc();
 
-        // -- 3. GR: re-solve dirty components, carry over the rest. ---
+        // -- 3. GR: re-solve each edit's slice, carry over the rest. ---
+        // See the slice argument in `GrSolver`'s docs.
         let callers = gr::build_callers(m);
         let graph = &self.callgraph;
         let cond = Condensation::build(graph);
         let new_components = graph.weak_components();
+        let reads = gr::Reads::build(m, &callers);
+        let old_cond = &self.cond;
+        let old_scc_of = |old: usize| -> Vec<usize> {
+            old_cond
+                .members(old_cond.scc_of(FuncId::new(old)))
+                .iter()
+                .filter_map(|o| new_fid_of(o.index()))
+                .collect()
+        };
+        let mut seeds: Vec<FuncId> = old_callees
+            .iter()
+            .filter_map(|o| new_fid_of(o.index()))
+            .map(FuncId::new)
+            .filter(|&h| gr::has_ptr_formal(m, h))
+            .collect();
+        for &i in edited {
+            let e = FuncId::new(i);
+            seeds.push(e);
+            seeds.extend_from_slice(reads.readers(e));
+            let new_scc = cond.members(cond.scc_of(e));
+            let old_scc = if i < survivors {
+                old_scc_of(old_fid_of(i))
+            } else {
+                Vec::new()
+            };
+            if !new_scc
+                .iter()
+                .map(|f| f.index())
+                .eq(old_scc.iter().copied())
+            {
+                seeds.extend_from_slice(new_scc);
+                seeds.extend(old_scc.into_iter().map(FuncId::new));
+            }
+        }
+        for &gone in removed {
+            seeds.extend(old_scc_of(gone).into_iter().map(FuncId::new));
+        }
+        let in_slice = reads.slice(&cond, &seeds);
+        let old_trip = self.gr_trip;
         let gr_config = GrConfig {
             threads: config.threads,
             ..config.gr
@@ -1092,7 +1182,8 @@ impl AnalysisSession {
         );
 
         // Pair each new component with a clean cache when membership
-        // matches exactly and no member was edited.
+        // matches exactly and no member was edited (then no member is
+        // in the slice either).
         let mut old_caches: Vec<Option<CompCache>> = std::mem::take(&mut self.components)
             .into_iter()
             .map(Some)
@@ -1106,13 +1197,20 @@ impl AnalysisSession {
                 let slot = old_caches
                     .iter_mut()
                     .find(|c| c.as_ref().is_some_and(|c| &c.members == members))?;
+                debug_assert!(members.iter().all(|f| !in_slice[f.index()]));
                 slot.take()
             })
             .collect();
 
-        // Phase 1: ascend dirty components; clean components contribute
-        // their cached cap metadata without any sweeping.
+        // Phase 1: ascend each dirty component's slice — or all of it,
+        // when a function outside the slice last ran in a component
+        // whose ascent tripped, or when the slice's own ascent trips.
+        // Clean components contribute their cached cap metadata without
+        // any sweeping. `slices[k]` is the restricted schedule of a
+        // sliced component.
         let schedules = solver.component_schedules(&new_components);
+        let old_settle = |i: usize| self.gr_settle[old_fid_of(i)];
+        let mut slices: Vec<Option<Vec<Vec<u32>>>> = vec![None; new_components.len()];
         let mut trip = false;
         let mut max_sweeps = 1u32;
         let mut ascent: Vec<(u32, bool)> = Vec::with_capacity(new_components.len());
@@ -1120,10 +1218,33 @@ impl AnalysisSession {
             let (sweeps, tripped) = match &matched[k] {
                 Some(cache) => (cache.sweeps, cache.tripped),
                 None => {
-                    for &f in members {
-                        solver.seed_function(f);
+                    let mut carried = members.iter().filter(|f| !in_slice[f.index()]).peekable();
+                    let sliceable = carried.peek().is_some()
+                        && carried.clone().all(|f| old_settle(f.index()) != TRIPPED);
+                    let mut sliced = None;
+                    if sliceable {
+                        let levels = GrSolver::restrict_schedule(&schedules[k], |scc| {
+                            in_slice[solver.cond.members(scc)[0].index()]
+                        });
+                        for &f in members.iter().filter(|f| in_slice[f.index()]) {
+                            solver.seed_function(f);
+                        }
+                        let (sweeps, tripped) = solver.ascend_component(&levels);
+                        if !tripped {
+                            let rest = carried.map(|f| old_settle(f.index()) + 1).max();
+                            sliced = Some(sweeps.max(rest.unwrap_or(1)));
+                            slices[k] = Some(levels);
+                        }
                     }
-                    solver.ascend_component(&schedules[k])
+                    match sliced {
+                        Some(sweeps) => (sweeps, false),
+                        None => {
+                            for &f in members {
+                                solver.seed_function(f);
+                            }
+                            solver.ascend_component(&schedules[k])
+                        }
+                    }
                 }
             };
             trip |= tripped;
@@ -1134,59 +1255,97 @@ impl AnalysisSession {
         // Phase 2: finish every component under the shared trip flag.
         // `CLEAN` functions carry their old fixpoint over (imported
         // into the fresh canonical arena below); everything else is
-        // read back from the solver.
+        // read back from the solver. A cached fixpoint finished under
+        // the other flag is re-solved whole, from seeds.
         const DIRTY: u8 = 0;
         const CLEAN: u8 = 1;
         let mut disposition: Vec<u8> = vec![DIRTY; nf];
         let mut new_caches: Vec<CompCache> = Vec::with_capacity(new_components.len());
         for (k, members) in new_components.iter().enumerate() {
             let (sweeps, tripped) = ascent[k];
-            match matched[k].take() {
-                Some(cache) if cache.final_trip == trip => {
+            let resolve_whole = |solver: &mut GrSolver| {
+                for &f in members {
+                    solver.seed_function(f);
+                }
+                let redo = solver.ascend_component(&schedules[k]);
+                debug_assert_eq!(redo, (sweeps, tripped), "ascent is context-free");
+                solver.finish_component(&schedules[k], members, trip);
+            };
+            let mut carried = 0;
+            match (matched[k].take(), slices[k].take()) {
+                (Some(cache), _) if old_trip == trip => {
                     for &f in members {
                         disposition[f.index()] = CLEAN;
                     }
                     self.stats.gr_components_reused += 1;
+                    self.stats.gr_functions_carried += members.len();
                     new_caches.push(cache);
                     continue;
                 }
-                Some(_) => {
-                    // The module-wide cap verdict changed: the cached
-                    // fixpoint was finished under the other flag, so
-                    // re-solve this (rare) component from seeds.
-                    for &f in members {
-                        solver.seed_function(f);
-                    }
-                    let redo = solver.ascend_component(&schedules[k]);
-                    debug_assert_eq!(redo, (sweeps, tripped), "ascent is context-free");
-                    solver.finish_component(&schedules[k], members, trip);
+                (Some(_), _) => {
+                    resolve_whole(&mut solver);
                     self.stats.gr_components_refinished += 1;
                 }
-                None => {
+                (None, Some(levels)) if old_trip == trip => {
+                    let solved: Vec<FuncId> = members
+                        .iter()
+                        .copied()
+                        .filter(|f| in_slice[f.index()])
+                        .collect();
+                    solver.finish_component(&levels, &solved, trip);
+                    for &f in members.iter().filter(|f| !in_slice[f.index()]) {
+                        disposition[f.index()] = CLEAN;
+                        carried += 1;
+                    }
+                    self.stats.gr_components_solved += 1;
+                }
+                (None, Some(_)) => {
+                    resolve_whole(&mut solver);
+                    self.stats.gr_components_solved += 1;
+                }
+                (None, None) => {
                     solver.finish_component(&schedules[k], members, trip);
                     self.stats.gr_components_solved += 1;
+                }
+            }
+            self.stats.gr_functions_carried += carried;
+            self.stats.gr_functions_resolved += members.len() - carried;
+            if tripped {
+                for &f in members {
+                    solver.settle[f.index()] = TRIPPED;
                 }
             }
             new_caches.push(CompCache {
                 members: members.clone(),
                 sweeps,
                 tripped,
-                final_trip: trip,
             });
         }
         self.components = new_caches;
+        self.gr_trip = trip;
+        let settle: Vec<u32> = (0..nf)
+            .map(|i| match disposition[i] {
+                CLEAN => old_settle(i),
+                _ => solver.settle[i],
+            })
+            .collect();
+        self.gr_settle = settle;
 
         // Assemble the per-function state vectors into one fresh
         // canonical arena, in function order — the exact import a
         // scratch analysis performs, so the assembled ids match scratch
-        // id-for-id. Dirty functions import out of the solver arena
-        // (identity renaming); clean ones import their cached states
+        // id-for-id. Re-solved functions import out of the solver arena
+        // (identity renaming); carried ones import their cached states
         // out of the *old* canonical arena under the edit's monotone
         // symbol/location renaming — the arena-level replacement for
         // the value-level state rebase.
-        let solver_states = std::mem::take(&mut solver.states);
-        let solver_arena = std::mem::take(&mut solver.arena);
-        drop(solver);
+        let GrSolver {
+            states: solver_states,
+            arena: solver_arena,
+            cond,
+            ..
+        } = solver;
+        self.cond = cond;
         let mut gr_arena = ExprArena::new();
         let mut dirty_map = ImportMap::default();
         let mut clean_map = TryImportMap::default();
@@ -1204,7 +1363,7 @@ impl AnalysisSession {
                                 m.iter()
                                     .map(|(l, &r)| {
                                         let loc = map_loc(*l)
-                                            .expect("clean components only mention their own ids");
+                                            .expect("carried states only mention unedited ids");
                                         let r = gr_arena
                                             .try_import_range(
                                                 &old_gr_arena,
@@ -1212,7 +1371,7 @@ impl AnalysisSession {
                                                 &rename_clean,
                                                 &mut clean_map,
                                             )
-                                            .expect("clean components only mention their own ids");
+                                            .expect("carried states only mention unedited ids");
                                         (loc, r)
                                     })
                                     .collect(),
@@ -1242,10 +1401,10 @@ impl AnalysisSession {
         let gr_ns = ns_since(t_gr);
         let t_matrices = std::time::Instant::now();
 
-        // -- 4. Matrix invalidation: a clean-component function keeps --
-        // its matrix outright (verdicts are invariant under the
-        // monotone renamings); a dirty-component one keeps it iff its
-        // GR states came out unchanged up to the renaming. The
+        // -- 4. Matrix invalidation: a carried function keeps its -----
+        // matrix outright (verdicts are invariant under the monotone
+        // renamings); a re-solved one keeps it iff its GR states came
+        // out unchanged up to the renaming. The
         // comparison walks old and new arena nodes in lockstep
         // (`range_eq_mapped`), materializing nothing; unmappable old
         // symbols land on an out-of-range sentinel that can never
@@ -1302,13 +1461,19 @@ impl AnalysisSession {
         // -- 5. Assemble and rebuild the invalidated matrices. --------
         gr_arena.absorb_op_stats(&solver_arena);
         let gr = GrAnalysis::from_raw(locs, gr_states, std::sync::Arc::new(gr_arena), max_sweeps);
-        self.rbaa = RbaaAnalysis::from_pieces(ranges, gr, lr);
+        let fresh = RbaaAnalysis::from_pieces(ranges, gr, lr);
+        // The superseded analysis is dropped here, its old GR arena
+        // with it; timed on its own so the edit decomposes honestly.
+        let t_teardown = std::time::Instant::now();
+        drop((std::mem::replace(&mut self.rbaa, fresh), old_gr_arena));
+        let teardown_ns = ns_since(t_teardown);
         // Any grown demand cache indexes the superseded analysis.
-        *self.demand.lock().expect("demand cache lock") = None;
+        *demand_lock(&self.demand) = None;
         self.phases = PhaseStats {
             parts_ns,
             assemble_ns,
             gr_ns,
+            teardown_ns,
             ..PhaseStats::default()
         };
         if self.config.query_mode == QueryMode::Demand {
@@ -1354,7 +1519,7 @@ impl AnalysisSession {
             .into_iter()
             .map(|s| s.expect("every function has a matrix"))
             .collect();
-        self.phases.matrices_ns = ns_since(t_matrices);
+        self.phases.matrices_ns = ns_since(t_matrices).saturating_sub(teardown_ns);
     }
 }
 
@@ -1423,7 +1588,13 @@ impl AnalysisSession {
             }
             enc.u32(c.sweeps);
             enc.bool(c.tripped);
-            enc.bool(c.final_trip);
+        }
+        // Format v3: the module-wide trip flag and, per function, the
+        // last changing ascending sweep — what keeps the first edit
+        // after a load sliced.
+        enc.bool(self.gr_trip);
+        for &settle in &self.gr_settle {
+            enc.u32(settle);
         }
         enc.finish_section(w, persist::tag::COMPONENTS)?;
 
@@ -1435,7 +1606,7 @@ impl AnalysisSession {
         enc.finish_section(w, persist::tag::MATRICES)?;
 
         let mut enc = persist::Enc::new();
-        match &*self.demand.lock().expect("demand cache lock") {
+        match &*demand_lock(&self.demand) {
             None => enc.bool(false),
             Some(cache) => {
                 enc.bool(true);
@@ -1455,6 +1626,8 @@ impl AnalysisSession {
             s.gr_components_solved,
             s.gr_components_reused,
             s.gr_components_refinished,
+            s.gr_functions_resolved,
+            s.gr_functions_carried,
             s.matrices_rebuilt,
             s.matrices_reused,
         ] {
@@ -1620,8 +1793,16 @@ impl AnalysisSession {
                 members,
                 sweeps: dec.u32()?,
                 tripped: dec.bool()?,
-                final_trip: dec.bool()?,
             });
+        }
+        let gr_trip = dec.bool()?;
+        let mut gr_settle = Vec::with_capacity(nf);
+        for _ in 0..nf {
+            let settle = dec.u32()?;
+            if settle > config.gr.max_ascending_sweeps && settle != TRIPPED {
+                return Err(persist::corrupt("GR sweep record is out of range"));
+            }
+            gr_settle.push(settle);
         }
         dec.finish()?;
 
@@ -1680,6 +1861,8 @@ impl AnalysisSession {
             gr_components_solved: dec.usize()?,
             gr_components_reused: dec.usize()?,
             gr_components_refinished: dec.usize()?,
+            gr_functions_resolved: dec.usize()?,
+            gr_functions_carried: dec.usize()?,
             matrices_rebuilt: dec.usize()?,
             matrices_reused: dec.usize()?,
         };
@@ -1695,8 +1878,11 @@ impl AnalysisSession {
             range_parts,
             lr_parts,
             cfgs,
+            cond: Condensation::build(&callgraph),
             callgraph,
             components,
+            gr_trip,
+            gr_settle,
             rbaa,
             matrices,
             demand: Mutex::new(demand),
@@ -2225,6 +2411,162 @@ mod tests {
             .replace_function(FuncId::new(1), chain_body("f1", 1, 2, true, 1))
             .expect("valid edit");
         assert_matches_scratch(&session);
+    }
+
+    /// `name(p: ptr) { q = p + offset; next(q) }` — a void link whose
+    /// churn runs through formal joins only (no return to read).
+    fn void_link(name: &str, offset: i64, next: Option<FuncId>) -> Function {
+        let mut b = FunctionBuilder::new(name, &[Ty::Ptr], None);
+        let p = b.param(0);
+        let off = b.const_int(offset);
+        let q = b.ptr_add(p, off);
+        if let Some(next) = next {
+            b.call(Callee::Internal(next), &[q], None);
+        }
+        b.ret(None);
+        b.finish()
+    }
+
+    /// A `main` handing each of `callees` a fresh buffer.
+    fn void_hub(name: &str, callees: &[usize]) -> Function {
+        let mut b = FunctionBuilder::new(name, &[], None);
+        for &f in callees {
+            let sz = b.const_int(64);
+            let buf = b.malloc(sz);
+            b.call(Callee::Internal(FuncId::new(f)), &[buf], None);
+        }
+        b.ret(None);
+        b.finish()
+    }
+
+    /// Widening off and a small cap, so a ring of void links trips it.
+    fn capped_config() -> DriverConfig {
+        DriverConfig {
+            threads: 1,
+            gr: GrConfig {
+                widening: false,
+                max_ascending_sweeps: 8,
+                ..GrConfig::default()
+            },
+            ..DriverConfig::with_threads(1)
+        }
+    }
+
+    /// The slice's fallbacks around the ascending cap, in one hub
+    /// component `main → {l1, l2, r0 → r1}`: a leaf edit re-solves
+    /// `{leaf, main}` only; closing `r1 → r0` into a ring makes the
+    /// slice's own ascent trip, so the whole component is re-solved;
+    /// while the component is tripped, every edit re-solves it whole
+    /// (the carried functions' states were forced); cutting the ring
+    /// returns to slices. Every step matches scratch.
+    #[test]
+    fn slice_falls_back_to_whole_component_around_the_cap() {
+        let mut m = Module::new();
+        m.add_function(void_link("l1", 1, None));
+        m.add_function(void_link("l2", 1, None));
+        m.add_function(void_link("r0", 1, Some(FuncId::new(3))));
+        m.add_function(void_link("r1", 1, None));
+        m.add_function(void_hub("main", &[0, 1, 2]));
+        let mut session = AnalysisSession::with_config(m, capped_config()).expect("verifies");
+        assert_matches_scratch(&session);
+        let expect = |session: &mut AnalysisSession, f: usize, body: Function, resolved| {
+            let before = *session.stats();
+            session
+                .replace_function(FuncId::new(f), body)
+                .expect("valid edit");
+            assert_matches_scratch(session);
+            let after = *session.stats();
+            assert_eq!(
+                after.gr_functions_resolved - before.gr_functions_resolved,
+                resolved,
+                "{after:?}"
+            );
+            assert_eq!(
+                after.gr_functions_carried - before.gr_functions_carried,
+                5 - resolved
+            );
+        };
+        expect(&mut session, 0, void_link("l1", 2, None), 2);
+        expect(&mut session, 3, void_link("r1", 1, Some(FuncId::new(2))), 5);
+        assert_eq!(session.analysis().gr().ascending_sweeps(), 8, "tripped");
+        expect(&mut session, 1, void_link("l2", 3, None), 5);
+        expect(&mut session, 3, void_link("r1", 2, None), 5);
+        expect(&mut session, 0, void_link("l1", 3, None), 2);
+    }
+
+    /// A demand query that panics on a stale value id leaves no
+    /// poisoned lock behind: the next valid query drops the memo and
+    /// answers as before, on the session and on a frozen snapshot.
+    #[test]
+    fn demand_lock_recovers_from_a_panicking_query() {
+        let config = AnalysisConfig::builder()
+            .query_mode(QueryMode::Demand)
+            .threads(1)
+            .build();
+        let session = AnalysisSession::with_config(chain_module(3, false), config).unwrap();
+        let frozen = session.freeze();
+        let f = FuncId::new(0);
+        let ptrs = pointer_values(session.module(), f);
+        let stale = ValueId::new(session.module().function(f).num_values() + 5);
+        let ask = |q: &dyn Fn(ValueId, ValueId) -> (AliasResult, Option<WhichTest>)| {
+            let expect = q(ptrs[0], ptrs[1]);
+            let stale_query = std::panic::AssertUnwindSafe(|| q(stale, ptrs[0]));
+            assert!(std::panic::catch_unwind(stale_query).is_err());
+            assert_eq!(q(ptrs[0], ptrs[1]), expect);
+        };
+        ask(&|p, q| session.alias_with_test(f, p, q));
+        ask(&|p, q| frozen.alias_with_test(f, p, q));
+    }
+
+    /// A sliced component whose fixpoint was finished under the other
+    /// module-wide trip flag is re-solved whole: one batch edits a leaf
+    /// of hub A and cuts the tripping ring of component B.
+    #[test]
+    fn slice_under_a_flipped_trip_flag_resolves_its_component_whole() {
+        let mut m = Module::new();
+        m.add_function(void_link("l1", 1, None));
+        m.add_function(void_link("l2", 1, None));
+        m.add_function(void_hub("main_a", &[0, 1]));
+        m.add_function(void_link("r0", 1, Some(FuncId::new(4))));
+        m.add_function(void_link("r1", 1, Some(FuncId::new(3))));
+        m.add_function(void_hub("main_b", &[3]));
+        let mut session = AnalysisSession::with_config(m, capped_config()).expect("verifies");
+        assert_matches_scratch(&session);
+        let before = *session.stats();
+        session
+            .apply_edits(vec![
+                SessionEdit::Replace {
+                    func: FuncId::new(0),
+                    body: void_link("l1", 2, None),
+                },
+                SessionEdit::Replace {
+                    func: FuncId::new(4),
+                    body: void_link("r1", 1, None),
+                },
+            ])
+            .expect("valid batch");
+        assert_matches_scratch(&session);
+        let after = *session.stats();
+        assert_eq!(
+            after.gr_functions_resolved - before.gr_functions_resolved,
+            6
+        );
+        assert_eq!(after.gr_components_solved - before.gr_components_solved, 2);
+
+        // Flag unchanged: a leaf edit of A is a slice again, and B is
+        // carried whole.
+        let before = after;
+        session
+            .replace_function(FuncId::new(1), void_link("l2", 2, None))
+            .expect("valid edit");
+        assert_matches_scratch(&session);
+        let after = *session.stats();
+        assert_eq!(
+            after.gr_functions_resolved - before.gr_functions_resolved,
+            2
+        );
+        assert_eq!(after.gr_functions_carried - before.gr_functions_carried, 4);
+        assert_eq!(after.gr_components_reused - before.gr_components_reused, 1);
     }
 
     /// A batch whose edits are individually invalid (removing functions

@@ -366,3 +366,147 @@ fn snapshots_survive_service_shutdown() {
         }
     }
 }
+
+/// Queries are total: readers mix pairs taken from earlier epochs and
+/// from the other tenant — plus ids past every module's end — into
+/// their traffic while a writer edits both tenants, in both query
+/// modes. A pair the answering epoch's module lacks gets
+/// `ServiceError::UnknownValue`; every other pair answers
+/// byte-identically to a scratch analysis of that epoch; no reader
+/// thread panics.
+#[test]
+fn stale_and_foreign_pairs_get_an_error_in_both_query_modes() {
+    use sra::core::QueryMode;
+    use sra::ir::{FuncId, Module, ValueId};
+    use sra::workloads::scaling;
+
+    let modules = [
+        scaling::generate_module(300, 5),
+        scaling::generate_call_graph_module(14, 6),
+    ];
+    let streams: Vec<Vec<edits::Edit>> = modules
+        .iter()
+        .enumerate()
+        .map(|(t, m)| edits::generate_edit_stream(m, 5, 40 + t as u64))
+        .collect();
+    let has = |m: &Module, (f, p, q): (FuncId, ValueId, ValueId)| {
+        f.index() < m.num_functions() && {
+            let nv = m.function(f).num_values();
+            p.index() < nv && q.index() < nv
+        }
+    };
+    for mode in [QueryMode::Matrix, QueryMode::Demand] {
+        let config = AnalysisConfig::builder().query_mode(mode).build();
+        // Every epoch's module and its scratch answers, per tenant.
+        let epochs: Vec<Vec<(Module, BatchAnalysis)>> = modules
+            .iter()
+            .zip(&streams)
+            .map(|(m, stream)| {
+                let mut m = m.clone();
+                let mut out = Vec::new();
+                for edit in stream.iter().map(Some).chain([None]) {
+                    let scratch = analyze_parallel(&m, config);
+                    out.push((m.clone(), BatchAnalysis::from_rbaa(scratch, &m, 1)));
+                    if let Some(edit) = edit {
+                        edits::apply_to_module(&mut m, edit).expect("stream edits stay valid");
+                    }
+                }
+                out
+            })
+            .collect();
+        // Pairs from every epoch of both tenants, plus ids no module has.
+        let mut pairs: Vec<(FuncId, ValueId, ValueId)> = Vec::new();
+        for (m, _) in epochs.iter().flatten() {
+            for f in m.func_ids() {
+                let ptrs = pointer_values(m, f);
+                for w in ptrs.windows(2).take(3) {
+                    pairs.push((f, w[0], w[1]));
+                }
+                let nv = m.function(f).num_values();
+                pairs.push((f, ValueId::new(nv + 7), ValueId::new(0)));
+            }
+            pairs.push((
+                FuncId::new(m.num_functions() + 3),
+                ValueId::new(0),
+                ValueId::new(0),
+            ));
+        }
+
+        let service = AliasService::with_config(config);
+        for (t, m) in modules.iter().enumerate() {
+            service
+                .add_tenant(&format!("t{t}"), m.clone())
+                .expect("verifies");
+        }
+        let done = AtomicBool::new(false);
+        let errors = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let (svc, done, errors, epochs, pairs, streams) =
+                (&service, &done, &errors, &epochs, &pairs, &streams);
+            let writer = scope.spawn(move || {
+                for k in 0..5 {
+                    for (t, stream) in streams.iter().enumerate() {
+                        svc.with_writer(&format!("t{t}"), |w| apply(w, &stream[k]))
+                            .expect("registered")
+                            .expect("valid edit");
+                    }
+                }
+                done.store(true, Ordering::Release);
+            });
+            let readers: Vec<_> = (0..3u64)
+                .map(|r| {
+                    scope.spawn(move || {
+                        let mut k = r;
+                        let mut asked = 0;
+                        while asked < 400 || !done.load(Ordering::Acquire) {
+                            k = k.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                            let t = (k >> 33) as usize % 2;
+                            let pair = pairs[(k >> 40) as usize % pairs.len()];
+                            let (f, p, q) = pair;
+                            let name = format!("t{t}");
+                            let snap = svc.snapshot(&name).expect("registered");
+                            let (m, batch) = &epochs[t][snap.epoch() as usize];
+                            match snap.query(f, p, q) {
+                                Ok(v) => {
+                                    assert!(
+                                        has(m, pair),
+                                        "{pair:?} answered on a module without it"
+                                    );
+                                    assert_eq!(v, batch.alias_with_test(f, p, q), "{pair:?}");
+                                }
+                                Err(ServiceError::UnknownValue { f: ef, .. }) => {
+                                    assert_eq!(ef, f);
+                                    assert!(!has(m, pair), "{pair:?} rejected on a module with it");
+                                    errors.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Err(e) => panic!("unexpected error: {e}"),
+                            }
+                            // The one-shot entry point: its answering
+                            // epoch is only known on success.
+                            match svc.query(&name, f, p, q) {
+                                Ok((e, v)) => {
+                                    let (m, batch) = &epochs[t][e as usize];
+                                    assert!(has(m, pair));
+                                    assert_eq!(v, batch.alias_with_test(f, p, q));
+                                }
+                                Err(ServiceError::UnknownValue { .. }) => {
+                                    assert!(epochs[t].iter().any(|(m, _)| !has(m, pair)));
+                                }
+                                Err(e) => panic!("unexpected error: {e}"),
+                            }
+                            asked += 1;
+                        }
+                    })
+                })
+                .collect();
+            writer.join().expect("the writer does not panic");
+            for reader in readers {
+                reader.join().expect("no reader panics");
+            }
+        });
+        assert!(
+            errors.load(Ordering::Relaxed) > 0,
+            "{mode:?}: some pairs were stale"
+        );
+    }
+}

@@ -101,8 +101,16 @@ fn check_total(islands: usize, chain: usize, seed: u64, mutations: &[(u8, usize,
     // re-lower of the new text.
     let mut program = SourceProgram::new(&base).expect("base compiles");
     let module_before = program.module().clone();
+    // The edit is accepted exactly when the text compiles from scratch,
+    // and a rejection reports the same first problem at the same place.
+    let fresh = SourceProgram::new(&text);
     match program.apply_edit(&text) {
         Ok(_) => {
+            assert!(
+                fresh.is_ok(),
+                "edit accepted but a scratch compile rejects: {:?}",
+                fresh.err()
+            );
             assert_eq!(program.text(), text);
             let relowered = program.full_relower().expect("accepted text re-lowers");
             assert_eq!(
@@ -111,7 +119,12 @@ fn check_total(islands: usize, chain: usize, seed: u64, mutations: &[(u8, usize,
                 "diffed module != full re-lower"
             );
         }
-        Err(_) => {
+        Err(e) => {
+            assert_eq!(
+                fresh.err().as_ref(),
+                Some(&e),
+                "edit and scratch compile disagree on the error"
+            );
             assert_eq!(program.text(), base, "failed edit must not change the text");
             assert_eq!(
                 program.module(),

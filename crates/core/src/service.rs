@@ -300,8 +300,8 @@ impl TenantWriter<'_> {
         self.side.source.as_ref().map(SourceProgram::text)
     }
 
-    /// Replaces the tenant's entire source text: the frontend diffs it
-    /// against the current text at function granularity, re-lowers only
+    /// Replaces the tenant's entire source text: the frontend re-parses
+    /// only the span that differs from the current text, re-lowers only
     /// changed units, and the session applies the diff incrementally
     /// — one published epoch per edit, however many functions it
     /// touched. The edit is atomic across text and analysis: on any
@@ -314,15 +314,14 @@ impl TenantWriter<'_> {
     /// text does not compile; [`ServiceError::Session`] when the
     /// session rejects the diff.
     pub fn edit_source(&mut self, new_text: &str) -> Result<u64, ServiceError> {
-        let Some(program) = self.side.source.as_ref() else {
+        let Some(program) = self.side.source.as_mut() else {
             return Err(ServiceError::NotSourceBacked(self.tenant.name.clone()));
         };
-        // Diff on a scratch clone: a rejected edit (either stage) must
-        // leave the registry's unit table untouched too.
-        let mut next = program.clone();
-        let diff = next.apply_edit(new_text)?;
-        self.side.session.apply_source_edit(diff)?;
-        self.side.source = Some(next);
+        // Commit the text only once the session took the diff: a
+        // rejected edit (either stage) leaves the registry untouched.
+        let edit = program.prepare_edit(new_text)?;
+        self.side.session.apply_source_edit(edit.diff().clone())?;
+        program.commit(edit);
         Ok(self.publish_next())
     }
 

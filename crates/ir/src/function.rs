@@ -289,6 +289,19 @@ impl Function {
         &mut self.values[v.index()]
     }
 
+    /// The targets of the function's internal calls.
+    pub(crate) fn internal_callees(&self) -> impl Iterator<Item = crate::FuncId> + '_ {
+        use crate::instr::{Callee, Inst};
+        use crate::ValueKind;
+        self.values.iter().filter_map(|data| match &data.kind {
+            ValueKind::Inst(Inst::Call {
+                callee: Callee::Internal(target),
+                ..
+            }) => Some(*target),
+            _ => None,
+        })
+    }
+
     /// Rewrites the target of every internal call through `map` (used
     /// by [`crate::Module::remove_function`] to keep `FuncId`s dense).
     pub(crate) fn remap_internal_calls(&mut self, map: impl Fn(crate::FuncId) -> crate::FuncId) {

@@ -1,5 +1,7 @@
 //! Modules: collections of functions and globals.
 
+use std::sync::Arc;
+
 use crate::function::Function;
 use crate::ids::{FuncId, GlobalId};
 
@@ -25,6 +27,10 @@ impl Global {
 
 /// A whole program: functions plus globals.
 ///
+/// Each function sits behind an [`Arc`], so cloning a module costs one
+/// pointer copy per function, and a clone shares every body until one
+/// side rewrites it (copy on write).
+///
 /// # Examples
 ///
 /// ```
@@ -41,8 +47,13 @@ impl Global {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Module {
-    funcs: Vec<Function>,
+    funcs: Vec<Arc<Function>>,
     globals: Vec<Global>,
+}
+
+/// The function `f` held, cloned when another module still shares it.
+fn unshare(f: Arc<Function>) -> Function {
+    Arc::try_unwrap(f).unwrap_or_else(|f| (*f).clone())
 }
 
 impl Module {
@@ -54,7 +65,7 @@ impl Module {
     /// Adds a function, returning its id.
     pub fn add_function(&mut self, f: Function) -> FuncId {
         let id = FuncId::new(self.funcs.len());
-        self.funcs.push(f);
+        self.funcs.push(Arc::new(f));
         id
     }
 
@@ -69,7 +80,10 @@ impl Module {
     ///
     /// Panics when `f` is not a function of this module.
     pub fn replace_function(&mut self, f: FuncId, func: Function) -> Function {
-        std::mem::replace(&mut self.funcs[f.index()], func)
+        unshare(std::mem::replace(
+            &mut self.funcs[f.index()],
+            Arc::new(func),
+        ))
     }
 
     /// Removes function `f`, returning it. Functions after `f` shift
@@ -87,21 +101,19 @@ impl Module {
     pub fn remove_function(&mut self, f: FuncId) -> Function {
         let removed = self.funcs.remove(f.index());
         let gone = f.index();
-        for func in &mut self.funcs {
-            func.remap_internal_calls(|t| {
-                if t.index() > gone {
-                    FuncId::new(t.index() - 1)
-                } else if t.index() == gone {
-                    // Dangling: park on a permanently invalid sentinel
-                    // id for the verifier to report (never reusable by
-                    // later `add_function` calls).
-                    FuncId::new(u32::MAX as usize)
-                } else {
-                    t
-                }
-            });
-        }
-        removed
+        self.remap_internal_calls(|t| {
+            if t.index() > gone {
+                FuncId::new(t.index() - 1)
+            } else if t.index() == gone {
+                // Dangling: park on a permanently invalid sentinel
+                // id for the verifier to report (never reusable by
+                // later `add_function` calls).
+                FuncId::new(u32::MAX as usize)
+            } else {
+                t
+            }
+        });
+        unshare(removed)
     }
 
     /// Removes a batch of functions in one pass. `fs` must be sorted
@@ -143,21 +155,29 @@ impl Module {
         }
         let mut removed = Vec::with_capacity(fs.len());
         for &f in fs.iter().rev() {
-            removed.push(self.funcs.remove(f.index()));
+            removed.push(unshare(self.funcs.remove(f.index())));
         }
         removed.reverse();
-        for func in &mut self.funcs {
-            func.remap_internal_calls(|t| {
-                // Out-of-range targets (an earlier removal's sentinel)
-                // stay dangling.
-                new_ids
-                    .get(t.index())
-                    .copied()
-                    .flatten()
-                    .unwrap_or_else(|| FuncId::new(u32::MAX as usize))
-            });
-        }
+        self.remap_internal_calls(|t| {
+            // Out-of-range targets (an earlier removal's sentinel)
+            // stay dangling.
+            new_ids
+                .get(t.index())
+                .copied()
+                .flatten()
+                .unwrap_or_else(|| FuncId::new(u32::MAX as usize))
+        });
         removed
+    }
+
+    /// Rewrites every internal call target through `map`, unsharing
+    /// only the functions with a target that moves.
+    fn remap_internal_calls(&mut self, map: impl Fn(FuncId) -> FuncId) {
+        for func in &mut self.funcs {
+            if func.internal_callees().any(|t| map(t) != t) {
+                Arc::make_mut(func).remap_internal_calls(&map);
+            }
+        }
     }
 
     /// Adds a global of `size` cells, returning its id.
@@ -181,7 +201,7 @@ impl Module {
 
     /// Mutable access to a function (used by transformation passes).
     pub fn function_mut(&mut self, f: FuncId) -> &mut Function {
-        &mut self.funcs[f.index()]
+        Arc::make_mut(&mut self.funcs[f.index()])
     }
 
     /// The global with id `g`.
@@ -224,7 +244,7 @@ impl Module {
     /// Total instruction count across all functions (paper Figure 15's
     /// x-axis).
     pub fn num_insts(&self) -> usize {
-        self.funcs.iter().map(Function::num_insts).sum()
+        self.funcs.iter().map(|f| f.num_insts()).sum()
     }
 }
 

@@ -11,7 +11,7 @@ use std::fmt;
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
 use crate::function::Function;
-use crate::ids::{BlockId, ValueId};
+use crate::ids::{BlockId, FuncId, ValueId};
 use crate::instr::{Callee, Inst, Terminator};
 use crate::module::Module;
 use crate::Ty;
@@ -51,6 +51,25 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
     Ok(())
 }
 
+/// The signatures internal calls are checked against: for each callee
+/// id its name, parameter types and return type, or `None` when the id
+/// names no function. A [`Module`] provides its own functions'; a
+/// frontend can check a function before it lands in a module by
+/// supplying the signatures the module will hold.
+pub trait CalleeSignatures {
+    /// The signature of internal callee `f`.
+    fn callee(&self, f: FuncId) -> Option<(&str, &[Ty], Option<Ty>)>;
+}
+
+impl CalleeSignatures for Module {
+    fn callee(&self, f: FuncId) -> Option<(&str, &[Ty], Option<Ty>)> {
+        (f.index() < self.num_functions()).then(|| {
+            let target = self.function(f);
+            (target.name(), target.param_tys(), target.ret_ty())
+        })
+    }
+}
+
 /// Verifies a single function; pass the module for call checking when
 /// available.
 ///
@@ -58,6 +77,23 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 ///
 /// Returns a [`VerifyError`] describing every broken invariant found.
 pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), VerifyError> {
+    verify_with(f, module.map(|m| m as &dyn CalleeSignatures))
+}
+
+/// Verifies a single function, checking its internal calls against
+/// `callees` instead of a module.
+///
+/// # Errors
+///
+/// Returns a [`VerifyError`] describing every broken invariant found.
+pub fn verify_function_against(
+    f: &Function,
+    callees: &dyn CalleeSignatures,
+) -> Result<(), VerifyError> {
+    verify_with(f, Some(callees))
+}
+
+fn verify_with(f: &Function, module: Option<&dyn CalleeSignatures>) -> Result<(), VerifyError> {
     let mut problems = Vec::new();
     let cfg = Cfg::new(f);
     let dom = DomTree::new(f, &cfg);
@@ -197,7 +233,7 @@ pub fn verify_function(f: &Function, module: Option<&Module>) -> Result<(), Veri
 
 fn check_types(
     f: &Function,
-    module: Option<&Module>,
+    module: Option<&dyn CalleeSignatures>,
     v: ValueId,
     inst: &Inst,
     problems: &mut Vec<String>,
@@ -251,28 +287,25 @@ fn check_types(
             ret_ty,
         } => {
             if let (Callee::Internal(fid), Some(m)) = (callee, module) {
-                if fid.index() >= m.num_functions() {
+                let Some((name, params, ret)) = m.callee(*fid) else {
                     problems.push(format!("{v}: call to unknown function {fid}"));
                     return;
-                }
-                let target = m.function(*fid);
-                if target.param_tys().len() != args.len() {
+                };
+                if params.len() != args.len() {
                     problems.push(format!(
-                        "{v}: call to `{}` with {} args, expected {}",
-                        target.name(),
+                        "{v}: call to `{name}` with {} args, expected {}",
                         args.len(),
-                        target.param_tys().len()
+                        params.len()
                     ));
                 }
-                for (a, &want) in args.iter().zip(target.param_tys()) {
+                for (a, &want) in args.iter().zip(params) {
                     if ty_of(*a) != Some(want) {
                         problems.push(format!("{v}: call argument {a} has wrong type"));
                     }
                 }
-                if *ret_ty != target.ret_ty() {
+                if *ret_ty != ret {
                     problems.push(format!(
-                        "{v}: call return type differs from `{}` signature",
-                        target.name()
+                        "{v}: call return type differs from `{name}` signature"
                     ));
                 }
             }

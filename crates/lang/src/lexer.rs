@@ -120,7 +120,8 @@ impl std::error::Error for LexError {}
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] at the first unrecognized character.
+/// Returns a [`LexError`] at the first unrecognized character or
+/// unterminated block comment.
 pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     lex_spanned(source).map(|(tokens, _)| tokens)
 }
@@ -131,17 +132,81 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
 ///
 /// # Errors
 ///
-/// Returns a [`LexError`] at the first unrecognized character.
-#[allow(clippy::too_many_lines)]
+/// Returns a [`LexError`] at the first unrecognized character or
+/// unterminated block comment.
 pub fn lex_spanned(source: &str) -> Result<(Vec<Token>, Vec<Span>), LexError> {
+    let mut out = Lexed::default();
+    lex_until(source, Cursor::default(), &mut out, |_| false)?;
+    Ok((out.tokens, out.spans))
+}
+
+/// Tokens of a stretch of text, with each token's position.
+#[derive(Debug, Default)]
+pub(crate) struct Lexed {
+    pub(crate) tokens: Vec<Token>,
+    pub(crate) spans: Vec<Span>,
+    /// Byte offset just past each token.
+    pub(crate) ends: Vec<usize>,
+}
+
+/// Where a lexer paused between tokens, outside any comment: the only
+/// state it carries there is its position, so lexing can resume from
+/// a cursor, and two cursors over equal remaining bytes yield equal
+/// tokens.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cursor {
+    pub(crate) offset: usize,
+    line: u32,
+    line_start: usize,
+}
+
+impl Default for Cursor {
+    fn default() -> Self {
+        Cursor {
+            offset: 0,
+            line: 1,
+            line_start: 0,
+        }
+    }
+}
+
+impl Cursor {
+    /// The cursor at byte `offset` of `source`, which must lie between
+    /// tokens and outside any comment, on 1-based line `line`.
+    pub(crate) fn at(source: &str, offset: usize, line: u32) -> Cursor {
+        let line_start = source.as_bytes()[..offset]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |k| k + 1);
+        Cursor {
+            offset,
+            line,
+            line_start,
+        }
+    }
+
+    /// The line the cursor is on.
+    pub(crate) fn line(self) -> u32 {
+        self.line
+    }
+}
+
+/// Lexes `source` from `cur` into `out`, pausing at the first offset
+/// between tokens for which `stop` holds, or at the end of the text.
+/// Returns the cursor it paused at.
+#[allow(clippy::too_many_lines)]
+pub(crate) fn lex_until(
+    source: &str,
+    cur: Cursor,
+    out: &mut Lexed,
+    mut stop: impl FnMut(usize) -> bool,
+) -> Result<Cursor, LexError> {
     let bytes = source.as_bytes();
-    let mut out = Vec::new();
-    let mut spans = Vec::new();
-    let mut i = 0;
+    let mut i = cur.offset;
     // Current line number and the byte offset where it starts; every
     // consumed `\n` (including inside comments) advances them.
-    let mut line = 1u32;
-    let mut line_start = 0usize;
+    let mut line = cur.line;
+    let mut line_start = cur.line_start;
     macro_rules! span_at {
         ($off:expr) => {
             Span {
@@ -150,7 +215,22 @@ pub fn lex_spanned(source: &str) -> Result<(Vec<Token>, Vec<Span>), LexError> {
             }
         };
     }
+    macro_rules! push {
+        ($tok:expr, $start:expr, $end:expr) => {{
+            out.spans.push(span_at!($start));
+            out.tokens.push($tok);
+            out.ends.push($end);
+        }};
+    }
+    let error = |i: usize, span: Span| LexError {
+        offset: i,
+        ch: source[i..].chars().next().unwrap_or('\0'),
+        span,
+    };
     while i < bytes.len() {
+        if stop(i) {
+            break;
+        }
         let c = bytes[i] as char;
         match c {
             '\n' => {
@@ -165,36 +245,44 @@ pub fn lex_spanned(source: &str) -> Result<(Vec<Token>, Vec<Span>), LexError> {
                 }
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
+                let open = i;
+                let open_span = span_at!(open);
                 i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == b'*' && bytes[i + 1] == b'/') {
+                loop {
+                    if i + 1 >= bytes.len() {
+                        // An unterminated comment is an error at its
+                        // opening, not a comment up to the end of the
+                        // text.
+                        return Err(error(open, open_span));
+                    }
+                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
+                        break;
+                    }
                     if bytes[i] == b'\n' {
                         line += 1;
                         line_start = i + 1;
                     }
                     i += 1;
                 }
-                i = (i + 2).min(bytes.len());
+                i += 2;
             }
             '0'..='9' => {
                 let start = i;
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
-                let text = &source[start..i];
-                spans.push(span_at!(start));
-                out.push(Token::Int(text.parse().unwrap_or(i64::MAX)));
+                let value = source[start..i].parse().unwrap_or(i64::MAX);
+                push!(Token::Int(value), start, i);
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
                 while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                spans.push(span_at!(start));
-                out.push(Token::Ident(source[start..i].to_owned()));
+                push!(Token::Ident(source[start..i].to_owned()), start, i);
             }
             '(' | ')' | '{' | '}' | '[' | ']' | ';' | ',' | '+' | '-' | '*' | '/' | '%' => {
-                spans.push(span_at!(i));
-                out.push(match c {
+                let tok = match c {
                     '(' => Token::LParen,
                     ')' => Token::RParen,
                     '{' => Token::LBrace,
@@ -208,62 +296,34 @@ pub fn lex_spanned(source: &str) -> Result<(Vec<Token>, Vec<Span>), LexError> {
                     '*' => Token::Star,
                     '/' => Token::Slash,
                     _ => Token::Percent,
-                });
+                };
+                push!(tok, i, i + 1);
                 i += 1;
             }
-            '<' => {
-                spans.push(span_at!(i));
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Le);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
+            '<' | '>' | '=' | '!' => {
+                let eq = bytes.get(i + 1) == Some(&b'=');
+                let tok = match (c, eq) {
+                    ('<', true) => Token::Le,
+                    ('<', false) => Token::Lt,
+                    ('>', true) => Token::Ge,
+                    ('>', false) => Token::Gt,
+                    ('=', true) => Token::EqEq,
+                    ('=', false) => Token::Assign,
+                    ('!', true) => Token::Ne,
+                    _ => return Err(error(i, span_at!(i))),
+                };
+                let len = 1 + usize::from(eq);
+                push!(tok, i, i + len);
+                i += len;
             }
-            '>' => {
-                spans.push(span_at!(i));
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
-            }
-            '=' => {
-                spans.push(span_at!(i));
-                if bytes.get(i + 1) == Some(&b'=') {
-                    out.push(Token::EqEq);
-                    i += 2;
-                } else {
-                    out.push(Token::Assign);
-                    i += 1;
-                }
-            }
-            '!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    spans.push(span_at!(i));
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(LexError {
-                        offset: i,
-                        ch: c,
-                        span: span_at!(i),
-                    });
-                }
-            }
-            other => {
-                return Err(LexError {
-                    offset: i,
-                    ch: other,
-                    span: span_at!(i),
-                })
-            }
+            _ => return Err(error(i, span_at!(i))),
         }
     }
-    Ok((out, spans))
+    Ok(Cursor {
+        offset: i,
+        line,
+        line_start,
+    })
 }
 
 #[cfg(test)]
@@ -334,5 +394,41 @@ mod tests {
         let err = lex_spanned("int a;\n @").unwrap_err();
         assert_eq!(err.span, Span { line: 2, col: 2 });
         assert!(err.to_string().contains("at 2:2"));
+    }
+
+    #[test]
+    fn error_reports_the_whole_character() {
+        let err = lex("int \u{e9};").unwrap_err();
+        assert_eq!((err.ch, err.offset), ('\u{e9}', 4));
+        let err = lex("a \u{1f600}").unwrap_err();
+        assert_eq!(err.ch, '\u{1f600}');
+    }
+
+    #[test]
+    fn unterminated_block_comment_is_an_error_at_its_opening() {
+        let err = lex_spanned("int f;\n  /* open\n x y").unwrap_err();
+        assert_eq!((err.ch, err.offset), ('/', 9));
+        assert_eq!(err.span, Span { line: 2, col: 3 });
+        assert!(lex("a /*").is_err());
+        assert!(lex("a /*/").is_err());
+        assert_eq!(lex("a /**/ b").unwrap().len(), 2);
+        assert_eq!(lex("a /* x */").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn lexing_resumes_from_a_cursor() {
+        let src = "int a;\nint b; /* c */ int c;";
+        let (whole, spans) = lex_spanned(src).unwrap();
+        let mut out = Lexed::default();
+        let paused = lex_until(src, Cursor::default(), &mut out, |i| i == 6).unwrap();
+        assert_eq!((paused.offset, out.tokens.len()), (6, 3));
+        let resumed = Cursor::at(src, 6, 1);
+        assert_eq!(
+            (resumed.line, resumed.line_start),
+            (paused.line, paused.line_start)
+        );
+        lex_until(src, Cursor::at(src, 7, 2), &mut out, |_| false).unwrap();
+        assert_eq!((out.tokens, out.spans), (whole, spans));
+        assert_eq!(out.ends.last(), Some(&src.len()));
     }
 }

@@ -64,7 +64,7 @@ pub use ast::{BinKind, Expr, FuncDecl, Program, Stmt};
 pub use lexer::{lex, lex_spanned, LexError, Span, Token};
 pub use lower::LowerError;
 pub use parser::{parse, parse_spanned, ParseError};
-pub use source::{SourceDiff, SourceProgram};
+pub use source::{PreparedEdit, SourceDiff, SourceProgram};
 
 use sra_ir::Module;
 

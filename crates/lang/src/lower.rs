@@ -88,11 +88,24 @@ pub fn lower(p: &Program) -> Result<Module, LowerError> {
 /// re-lowered function lands on its existing [`sra_ir::FuncId`].
 pub(crate) type SigMap = HashMap<String, (usize, Vec<Ty>, Option<Ty>)>;
 
+/// Resolves a callee name to its internal binding: (function id index,
+/// parameter types, return type), or `None` for an external callee.
+pub(crate) trait Signatures {
+    fn signature(&self, name: &str) -> Option<(usize, &[Ty], Option<Ty>)>;
+}
+
+impl Signatures for SigMap {
+    fn signature(&self, name: &str) -> Option<(usize, &[Ty], Option<Ty>)> {
+        self.get(name)
+            .map(|(i, tys, ret)| (*i, tys.as_slice(), *ret))
+    }
+}
+
 /// Lowers a single function against an explicit signature binding.
 /// σ-nodes are **not** inserted; run [`sra_ir::essa::run`] afterwards.
 pub(crate) fn lower_function(
     decl: &FuncDecl,
-    sigs: &SigMap,
+    sigs: &dyn Signatures,
     globals: &HashMap<String, GlobalId>,
 ) -> Result<sra_ir::Function, LowerError> {
     FnLower::new(decl, sigs, globals)
@@ -111,7 +124,7 @@ type VarId = usize;
 
 struct FnLower<'a> {
     decl: &'a FuncDecl,
-    sigs: &'a SigMap,
+    sigs: &'a dyn Signatures,
     globals: &'a HashMap<String, GlobalId>,
     b: FunctionBuilder,
     vars: HashMap<String, (VarId, Ty)>,
@@ -126,7 +139,11 @@ struct FnLower<'a> {
 }
 
 impl<'a> FnLower<'a> {
-    fn new(decl: &'a FuncDecl, sigs: &'a SigMap, globals: &'a HashMap<String, GlobalId>) -> Self {
+    fn new(
+        decl: &'a FuncDecl,
+        sigs: &'a dyn Signatures,
+        globals: &'a HashMap<String, GlobalId>,
+    ) -> Self {
         let param_tys: Vec<Ty> = decl.params.iter().map(|(_, t)| *t).collect();
         let b = FunctionBuilder::new(&decl.name, &param_tys, decl.ret);
         FnLower {
@@ -411,9 +428,9 @@ impl<'a> FnLower<'a> {
             Stmt::ExprStmt(e) => {
                 // Void internal calls are only legal here.
                 if let Expr::Call(name, args) = e {
-                    if let Some((idx, tys, ret)) = self.sigs.get(name).cloned() {
+                    if let Some((idx, tys, ret)) = self.sigs.signature(name) {
                         if ret.is_none() {
-                            let argv = self.call_args(name, args, &tys)?;
+                            let argv = self.call_args(name, args, tys)?;
                             self.b
                                 .call(Callee::Internal(sra_ir::FuncId::new(idx)), &argv, None);
                             return Ok(());
@@ -601,11 +618,11 @@ impl<'a> FnLower<'a> {
                 Ok((self.b.alloca(sv), Ty::Ptr))
             }
             Expr::Call(name, args) => {
-                if let Some((idx, tys, ret)) = self.sigs.get(name).cloned() {
+                if let Some((idx, tys, ret)) = self.sigs.signature(name) {
                     let Some(ret) = ret else {
                         return Err(err(format!("void function `{name}` used as a value")));
                     };
-                    let argv = self.call_args(name, args, &tys)?;
+                    let argv = self.call_args(name, args, tys)?;
                     let v =
                         self.b
                             .call(Callee::Internal(sra_ir::FuncId::new(idx)), &argv, Some(ret));

@@ -1,5 +1,6 @@
 //! Recursive-descent parser for the mini-C language.
 
+use std::cell::Cell;
 use std::fmt;
 
 use sra_ir::{CmpOp, Ty};
@@ -68,34 +69,79 @@ pub fn parse_spanned(
     tokens: &[Token],
     spans: &[Span],
 ) -> Result<(Program, Vec<(usize, usize)>), ParseError> {
+    let items = parse_items(tokens, spans, 0).map_err(|(e, _)| e)?;
+    let mut prog = Program::default();
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for (item, end) in items {
+        match item {
+            TopItem::Global(name, size) => prog.globals.push((name, size)),
+            TopItem::Func(decl) => {
+                prog.funcs.push(decl);
+                ranges.push((start, end));
+            }
+        }
+        start = end;
+    }
+    Ok((prog, ranges))
+}
+
+/// A top-level item: a global array or a function definition.
+#[derive(Debug)]
+pub(crate) enum TopItem {
+    Global(String, i64),
+    Func(FuncDecl),
+}
+
+/// Parses the top-level items of `tokens`, each with the index just
+/// past its last token. `tokens` may be a window of a longer stream
+/// that starts at an item boundary, `base` tokens into it: errors then
+/// report stream-wide token indices. Alongside an error comes whether
+/// the parse looked past the end of `tokens` before failing, in which
+/// case a longer window may parse where this one did not.
+pub(crate) fn parse_items(
+    tokens: &[Token],
+    spans: &[Span],
+    base: usize,
+) -> Result<Vec<(TopItem, usize)>, (ParseError, bool)> {
     let mut p = Parser {
         tokens,
         spans,
+        base,
         pos: 0,
         depth: 0,
         current_func: None,
-        ranges: Vec::new(),
+        hit_end: Cell::new(false),
     };
-    let prog = p.program()?;
-    Ok((prog, p.ranges))
+    let mut items = Vec::new();
+    while p.pos < tokens.len() {
+        match p.item() {
+            Ok(item) => items.push((item, p.pos)),
+            Err(e) => return Err((e, p.hit_end.get())),
+        }
+    }
+    Ok(items)
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     spans: &'a [Span],
+    /// Stream index of `tokens[0]`.
+    base: usize,
     pos: usize,
     depth: usize,
     current_func: Option<String>,
-    ranges: Vec<(usize, usize)>,
+    /// Set when a lookahead ran past the end of `tokens`.
+    hit_end: Cell<bool>,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         // Clamp so "unexpected end of input" errors still point at
         // the last real token's position.
         let at = self.pos.min(self.spans.len().saturating_sub(1));
         Err(ParseError {
-            at: self.pos,
+            at: self.base + self.pos,
             message: message.into(),
             span: self.spans.get(at).copied(),
             func: self.current_func.clone(),
@@ -110,12 +156,21 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    /// The token `k` places ahead, noting a look past the end.
+    fn look(&self, k: usize) -> Option<&'a Token> {
+        let t = self.tokens.get(self.pos + k);
+        if t.is_none() {
+            self.hit_end.set(true);
+        }
+        t
     }
 
-    fn next(&mut self) -> Option<&Token> {
-        let t = self.tokens.get(self.pos);
+    fn peek(&self) -> Option<&'a Token> {
+        self.look(0)
+    }
+
+    fn next(&mut self) -> Option<&'a Token> {
+        let t = self.look(0);
         if t.is_some() {
             self.pos += 1;
         }
@@ -158,37 +213,27 @@ impl Parser<'_> {
         }
     }
 
-    fn program(&mut self) -> Result<Program, ParseError> {
-        let mut prog = Program::default();
-        while self.peek().is_some() {
-            let start = self.pos;
-            let exported = if self.is_kw("export") {
-                self.pos += 1;
-                true
-            } else {
-                false
+    fn item(&mut self) -> Result<TopItem, ParseError> {
+        let exported = if self.is_kw("export") {
+            self.pos += 1;
+            true
+        } else {
+            false
+        };
+        // Global: `int name [ N ] ;` — lookahead for `[` after name.
+        if !exported && self.is_kw("int") && matches!(self.look(2), Some(Token::LBracket)) {
+            self.pos += 1;
+            let name = self.eat_ident()?;
+            self.eat(&Token::LBracket)?;
+            let size = match self.next().cloned() {
+                Some(Token::Int(n)) => n,
+                other => return self.err(format!("expected array size, found {other:?}")),
             };
-            // Global: `int name [ N ] ;` — lookahead for `[` after name.
-            if !exported
-                && self.is_kw("int")
-                && matches!(self.tokens.get(self.pos + 2), Some(Token::LBracket))
-            {
-                self.pos += 1;
-                let name = self.eat_ident()?;
-                self.eat(&Token::LBracket)?;
-                let size = match self.next().cloned() {
-                    Some(Token::Int(n)) => n,
-                    other => return self.err(format!("expected array size, found {other:?}")),
-                };
-                self.eat(&Token::RBracket)?;
-                self.eat(&Token::Semi)?;
-                prog.globals.push((name, size));
-                continue;
-            }
-            prog.funcs.push(self.function(exported)?);
-            self.ranges.push((start, self.pos));
+            self.eat(&Token::RBracket)?;
+            self.eat(&Token::Semi)?;
+            return Ok(TopItem::Global(name, size));
         }
-        Ok(prog)
+        self.function(exported).map(TopItem::Func)
     }
 
     fn function(&mut self, exported: bool) -> Result<FuncDecl, ParseError> {
@@ -249,8 +294,7 @@ impl Parser<'_> {
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
         // Declarations.
-        if (self.is_kw("int") || self.is_kw("ptr"))
-            && matches!(self.tokens.get(self.pos + 1), Some(Token::Ident(_)))
+        if (self.is_kw("int") || self.is_kw("ptr")) && matches!(self.look(1), Some(Token::Ident(_)))
         {
             let ty = self.ty()?;
             let name = self.eat_ident()?;
@@ -314,13 +358,13 @@ impl Parser<'_> {
 
     /// Assignment, store, free or expression statement (no semicolon).
     fn simple_stmt(&mut self) -> Result<Stmt, ParseError> {
-        if self.is_kw("free") && self.tokens.get(self.pos + 1) == Some(&Token::LParen) {
+        if self.is_kw("free") && self.look(1) == Some(&Token::LParen) {
             self.pos += 2;
             let e = self.expr()?;
             self.eat(&Token::RParen)?;
             return Ok(Stmt::Free(e));
         }
-        if self.is_kw("store_ptr") && self.tokens.get(self.pos + 1) == Some(&Token::LParen) {
+        if self.is_kw("store_ptr") && self.look(1) == Some(&Token::LParen) {
             self.pos += 2;
             let addr = self.expr()?;
             self.eat(&Token::Comma)?;
@@ -338,7 +382,7 @@ impl Parser<'_> {
         }
         // `name = e` | `name[i] = e` | expression statement
         if let Some(Token::Ident(name)) = self.peek().cloned() {
-            match self.tokens.get(self.pos + 1) {
+            match self.look(1) {
                 Some(Token::Assign) => {
                     self.pos += 2;
                     let e = self.expr()?;

@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sra_bench::{batched_sweep, build_session, per_query_sweep, scratch_replay, session_replay};
 use sra_core::{
-    analyze_parallel, AliasService, AnalysisConfig, GrConfig, GrSchedule, RbaaAnalysis,
+    pool, AliasService, AnalysisConfig, AnalysisSession, GrConfig, QueryMode, RbaaAnalysis,
 };
 use sra_ir::Module;
 use sra_range::RangeAnalysis;
@@ -37,8 +37,18 @@ fn callgraph_workload() -> Module {
     scaling::generate_call_graph_module(CALLGRAPH_FUNCS, SCALING_SEED)
 }
 
-/// Pipeline analysis (bootstrap + GR + LR): serial vs the batch driver
-/// at 1/2/4 workers.
+/// The one pooled pipeline without matrices: a demand-mode session
+/// build on `threads` workers (capped at the hardware's).
+fn pipeline(m: &Module, threads: usize) -> AnalysisSession {
+    let config = AnalysisConfig::builder()
+        .threads(threads)
+        .query_mode(QueryMode::Demand)
+        .build();
+    AnalysisSession::with_config(m.clone(), config).expect("workload verifies")
+}
+
+/// Pipeline analysis (bootstrap + GR + LR): the serial reference vs the
+/// pooled pipeline at 1/2/4 workers.
 fn analysis_serial_vs_parallel(c: &mut Criterion) {
     let m = workload();
     let insts = m.num_insts();
@@ -53,12 +63,7 @@ fn analysis_serial_vs_parallel(c: &mut Criterion) {
             BenchmarkId::new(&format!("parallel_t{threads}"), insts),
             &m,
             |b, m| {
-                b.iter(|| {
-                    analyze_parallel(
-                        std::hint::black_box(m),
-                        AnalysisConfig::builder().threads(threads).build(),
-                    )
-                });
+                b.iter(|| pipeline(std::hint::black_box(m), threads));
             },
         );
     }
@@ -66,7 +71,7 @@ fn analysis_serial_vs_parallel(c: &mut Criterion) {
 }
 
 /// The interprocedural GR pass alone on the many-function workload:
-/// the serial condensation schedule vs SCC waves at 2/4 workers
+/// a width-1 pool (level by level) vs SCC waves at 2/4 workers
 /// (byte-identical results; only wall time may differ).
 fn gr_serial_vs_waves(c: &mut Criterion) {
     let m = callgraph_workload();
@@ -81,7 +86,6 @@ fn gr_serial_vs_waves(c: &mut Criterion) {
                 std::hint::black_box(m),
                 &ranges,
                 GrConfig {
-                    schedule: GrSchedule::Serial,
                     threads: 1,
                     ..GrConfig::default()
                 },
@@ -98,7 +102,6 @@ fn gr_serial_vs_waves(c: &mut Criterion) {
                         std::hint::black_box(m),
                         &ranges,
                         GrConfig {
-                            schedule: GrSchedule::Waves,
                             threads,
                             ..GrConfig::default()
                         },
@@ -110,23 +113,17 @@ fn gr_serial_vs_waves(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end pipeline on the many-function workload, serial-GR
-/// baseline vs the wave-scheduled default.
+/// End-to-end pipeline on the many-function workload: a width-1 pool
+/// vs the default width.
 fn callgraph_end_to_end(c: &mut Criterion) {
     let m = callgraph_workload();
     let insts = m.num_insts();
     let mut group = c.benchmark_group("callgraph_pipeline");
     group.sample_size(10);
     group.throughput(Throughput::Elements(insts as u64));
-    for (name, schedule) in [
-        ("gr_serial", GrSchedule::Serial),
-        ("gr_waves", GrSchedule::Waves),
-    ] {
+    for (name, threads) in [("width_1", 1), ("width_n", pool::default_threads())] {
         group.bench_with_input(BenchmarkId::new(name, insts), &m, |b, m| {
-            b.iter(|| {
-                let config = AnalysisConfig::builder().gr_schedule(schedule).build();
-                analyze_parallel(std::hint::black_box(m), config)
-            });
+            b.iter(|| pipeline(std::hint::black_box(m), threads));
         });
     }
     group.finish();

@@ -13,7 +13,7 @@
 //! ```
 
 use sra_bench::{pct, render_table};
-use sra_core::{pointer_values, AliasResult, GrConfig, RbaaAnalysis, WhichTest};
+use sra_core::{pointer_values, AliasResult, AnalysisConfig, GrConfig, RbaaAnalysis, WhichTest};
 use sra_workloads::suite;
 
 /// Percentage of no-alias answers under `config`, optionally without
@@ -23,7 +23,8 @@ fn run(config: GrConfig, use_local: bool) -> (f64, usize) {
     let mut no_alias = 0usize;
     for bench in suite::benchmarks().into_iter().take(8) {
         let module = bench.build().expect("benchmark builds");
-        let rbaa = RbaaAnalysis::analyze_with(&module, config);
+        let rbaa =
+            RbaaAnalysis::analyze_with(&module, AnalysisConfig::builder().gr(config).build());
         for f in module.func_ids() {
             let ptrs = pointer_values(&module, f);
             for (i, &p) in ptrs.iter().enumerate() {

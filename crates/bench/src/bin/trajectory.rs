@@ -66,8 +66,9 @@
 //!   thread count: the legacy arm replays the BENCH_9-era schedule
 //!   (one-shot pool per phase, serial canonical-arena assembly,
 //!   forced-width GR waves), the fused arm is
-//!   [`sra_core::BatchAnalysis::analyze_with`] on one persistent,
-//!   hardware-capped [`sra_core::WorkerPool`]. The arms run as two
+//!   [`sra_core::BatchAnalysis::analyze_with`] — the session's one
+//!   scratch pipeline — on one persistent, hardware-capped
+//!   [`sra_core::WorkerPool`]. The arms run as two
 //!   interleaved rounds (legacy, fused, legacy, fused) and the gated
 //!   ratio uses the per-arm minima, so minute-scale drift in the
 //!   host's effective memory bandwidth hits both arms alike instead
@@ -572,9 +573,8 @@ fn main() {
     eprintln!(
         "pipeline ({} insts, t{PIPELINE_THREADS}, min of 2 interleaved rounds): legacy \
          {legacy_build:?}, fused {fused_build:?} ({pipeline_ratio:.2}x); fused phases: \
-         budget {:?}, parts {:?}, assemble {:?}, gr {:?}, matrices {:?}",
+         parts {:?}, assemble {:?}, gr {:?}, matrices {:?}",
         big.num_insts(),
-        Duration::from_nanos(fused_phases.budget_ns),
         Duration::from_nanos(fused_phases.parts_ns),
         Duration::from_nanos(fused_phases.assemble_ns),
         Duration::from_nanos(fused_phases.gr_ns),
@@ -709,7 +709,7 @@ fn main() {
          \"matrix_unpacked_bytes\": {big_unpacked},\n    \
          \"load_verified\": true\n  }},\n  \
          \"pipeline\": {{\n    \"threads\": {PIPELINE_THREADS},\n    \
-         \"fused_phases_ns\": {{\n      \"budget\": {},\n      \
+         \"fused_phases_ns\": {{\n      \
          \"parts\": {},\n      \"assemble\": {},\n      \"gr\": {},\n      \
          \"matrices\": {}\n    }}\n  }},\n  \
          \"ratios\": {{\n    \"batched_vs_per_query\": {batched_ratio:.3},\n    \
@@ -773,7 +773,6 @@ fn main() {
         big.num_functions(),
         snapshot.len(),
         big_arena.bytes,
-        fused_phases.budget_ns,
         fused_phases.parts_ns,
         fused_phases.assemble_ns,
         fused_phases.gr_ns,

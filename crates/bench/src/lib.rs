@@ -21,8 +21,8 @@
 use std::fmt::Write as _;
 
 use sra_core::{
-    lr, pointer_values, pool, AliasMatrix, AnalysisConfig, AnalysisSession, BatchAnalysis,
-    GrAnalysis, GrConfig, LrAnalysis, LrPart, QueryStats, RbaaAnalysis,
+    lr, pointer_values, AliasMatrix, AnalysisConfig, AnalysisSession, BatchAnalysis, GrAnalysis,
+    GrConfig, LrAnalysis, LrPart, QueryStats, RbaaAnalysis, WorkerPool,
 };
 use sra_ir::{FuncId, Module};
 use sra_lang::SourceProgram;
@@ -62,7 +62,7 @@ pub fn per_query_sweep(m: &Module, rbaa: &RbaaAnalysis) -> QueryStats {
 /// The batched all-pairs path: one cached [`AliasMatrix`] per function,
 /// built on `threads` workers with hash-consed range comparisons.
 pub fn batched_sweep(m: &Module, rbaa: &RbaaAnalysis, threads: usize) -> QueryStats {
-    let matrices = pool::run_indexed(m.num_functions(), threads, |i| {
+    let matrices = WorkerPool::forced(threads).run_indexed(m.num_functions(), |i| {
         AliasMatrix::build(rbaa, m, FuncId::new(i))
     });
     let mut total = QueryStats::default();
@@ -157,8 +157,9 @@ pub fn source_session_replay(
 }
 
 /// The pre-fusion scratch pipeline, replicated from public building
-/// blocks: a one-shot thread pool per phase (budget scan, part
-/// analyses, matrix builds), fully serial canonical-arena assembly,
+/// blocks: a one-shot forced-width [`WorkerPool`] per phase (budget
+/// scan, part analyses, matrix builds), fully serial canonical-arena
+/// assembly,
 /// and a forced-width pool per GR solve — the exact schedule the
 /// BENCH_9-era driver ran. The `trajectory` harness keeps it as the
 /// `pipeline` group's legacy arm so the fused persistent-pool driver's
@@ -167,7 +168,7 @@ pub fn source_session_replay(
 pub fn legacy_scratch_pipeline(m: &Module, threads: usize) -> usize {
     let config = AnalysisConfig::builder().threads(threads).build();
     let nf = m.num_functions();
-    let budgets: Vec<(usize, usize)> = pool::run_indexed(nf, threads, |i| {
+    let budgets: Vec<(usize, usize)> = WorkerPool::forced(threads).run_indexed(nf, |i| {
         let fid = FuncId::new(i);
         (
             sra_range::symbol_budget(m.function(fid), config.range),
@@ -183,7 +184,7 @@ pub fn legacy_scratch_pipeline(m: &Module, threads: usize) -> usize {
         rb += r as u32;
         lb += l as u32;
     }
-    let parts: Vec<(RangePart, LrPart)> = pool::run_indexed(nf, threads, |i| {
+    let parts: Vec<(RangePart, LrPart)> = WorkerPool::forced(threads).run_indexed(nf, |i| {
         let fid = FuncId::new(i);
         (
             sra_range::analyze_function_part(m.function(fid), config.range, range_bases[i]),
@@ -204,9 +205,8 @@ pub fn legacy_scratch_pipeline(m: &Module, threads: usize) -> usize {
     };
     let gr = GrAnalysis::analyze_with(m, &ranges, gr_config);
     let rbaa = RbaaAnalysis::from_pieces(ranges, gr, lrs);
-    let matrices = pool::run_indexed(nf, threads, |i| {
-        AliasMatrix::build_with(&rbaa, m, FuncId::new(i), 1)
-    });
+    let matrices = WorkerPool::forced(threads)
+        .run_indexed(nf, |i| AliasMatrix::build_with(&rbaa, m, FuncId::new(i), 1));
     matrices.iter().map(|mx| mx.stats().queries).sum()
 }
 

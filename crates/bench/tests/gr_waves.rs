@@ -1,22 +1,22 @@
 //! Acceptance rails for the SCC-wave-scheduled GR on the
 //! many-function call-graph workload:
 //!
-//! * **byte-identity** (tier-1): the wave schedule returns exactly the
-//!   serial schedule's states — here on the big bench workload, with
+//! * **byte-identity** (tier-1): a width-4 pool's waves return exactly
+//!   a width-1 pool's level-by-level states — here on the big bench workload, with
 //!   the property-test rail (`tests/gr_schedule_equivalence.rs`)
 //!   covering random modules;
 //! * **convergence** (tier-1): the alternating condensation order
 //!   converges in O(1) ascending sweeps on call DAGs whose depth far
 //!   exceeds the ascending cap — the cap would have tripped (and
 //!   flushed every join to ⊤) under any fixed one-directional order;
-//! * **speedup** (`--ignored`, wall-clock): waves beat the serial
+//! * **speedup** (`--ignored`, wall-clock): waves beat the width-1
 //!   baseline when the machine actually has cores to spread over.
 //!
 //! ```text
 //! cargo test -q --release -p sra-bench --test gr_waves -- --ignored
 //! ```
 
-use sra_core::{GrAnalysis, GrConfig, GrSchedule};
+use sra_core::{GrAnalysis, GrConfig};
 use sra_range::RangeAnalysis;
 use sra_workloads::scaling;
 
@@ -25,7 +25,6 @@ const SEED: u64 = 42;
 
 fn serial_config() -> GrConfig {
     GrConfig {
-        schedule: GrSchedule::Serial,
         threads: 1,
         ..GrConfig::default()
     }
@@ -33,7 +32,6 @@ fn serial_config() -> GrConfig {
 
 fn waves_config(threads: usize) -> GrConfig {
     GrConfig {
-        schedule: GrSchedule::Waves,
         threads,
         ..GrConfig::default()
     }

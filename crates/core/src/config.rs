@@ -1,33 +1,28 @@
 //! The unified analysis configuration: one [`AnalysisConfig`] value
 //! carries every knob of the pipeline — worker threads, the bootstrap
-//! integer-range pass, the interprocedural GR solver and its schedule,
-//! the query-answering mode, and snapshot-loading behaviour — so
-//! sessions, services and the batch driver are all configured the same
-//! way, and a saved snapshot can round-trip the exact configuration it
-//! was analyzed under.
+//! integer-range pass, the interprocedural GR solver, the
+//! query-answering mode, and snapshot-loading behaviour — so sessions,
+//! services, the batch driver and the serial reference
+//! ([`RbaaAnalysis::analyze_with`](crate::RbaaAnalysis::analyze_with))
+//! are all configured the same way, and a saved snapshot can
+//! round-trip the exact configuration it was analyzed under.
 //!
 //! Construct configs with the builder:
 //!
 //! ```
-//! use sra_core::{AnalysisConfig, GrSchedule, QueryMode};
+//! use sra_core::{AnalysisConfig, QueryMode};
 //!
 //! let config = AnalysisConfig::builder()
 //!     .threads(8)
 //!     .query_mode(QueryMode::Demand)
-//!     .gr_schedule(GrSchedule::Waves)
 //!     .build();
 //! assert_eq!(config.threads, 8);
 //! assert_eq!(config.gr.threads, 8); // one knob governs every phase
 //! ```
-//!
-//! The legacy [`DriverConfig`](crate::DriverConfig) converts losslessly
-//! ([`From`]), so older call sites keep compiling: every entry point
-//! that takes a configuration accepts `impl Into<AnalysisConfig>`.
 
 use sra_range::RangeConfig;
 
-use crate::driver::DriverConfig;
-use crate::gr::{GrConfig, GrSchedule};
+use crate::gr::GrConfig;
 use crate::pool;
 use crate::query::QueryMode;
 
@@ -78,16 +73,6 @@ impl AnalysisConfig {
             config: AnalysisConfig::default(),
         }
     }
-
-    /// The batch-driver view of this config (threads + analysis knobs;
-    /// the query mode and persistence options do not apply there).
-    pub(crate) fn driver(&self) -> DriverConfig {
-        DriverConfig {
-            threads: self.threads,
-            range: self.range,
-            gr: self.gr,
-        }
-    }
 }
 
 /// Builder for [`AnalysisConfig`].
@@ -108,13 +93,6 @@ impl AnalysisConfigBuilder {
     /// The query-answering mode.
     pub fn query_mode(mut self, mode: QueryMode) -> Self {
         self.config.query_mode = mode;
-        self
-    }
-
-    /// The GR solver's schedule (serial reference order or the
-    /// wave-parallel condensation schedule — byte-identical results).
-    pub fn gr_schedule(mut self, schedule: GrSchedule) -> Self {
-        self.config.gr.schedule = schedule;
         self
     }
 
@@ -143,23 +121,6 @@ impl AnalysisConfigBuilder {
     }
 }
 
-impl From<DriverConfig> for AnalysisConfig {
-    fn from(d: DriverConfig) -> Self {
-        AnalysisConfig {
-            threads: d.threads,
-            range: d.range,
-            gr: d.gr,
-            ..AnalysisConfig::default()
-        }
-    }
-}
-
-impl From<AnalysisConfig> for DriverConfig {
-    fn from(c: AnalysisConfig) -> Self {
-        c.driver()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,25 +134,12 @@ mod tests {
             })
             .threads(3)
             .query_mode(QueryMode::Demand)
-            .gr_schedule(GrSchedule::Serial)
             .load_verify(true)
             .build();
         assert_eq!(c.threads, 3);
         assert_eq!(c.gr.threads, 3);
         assert!(!c.gr.widening);
         assert_eq!(c.query_mode, QueryMode::Demand);
-        assert_eq!(c.gr.schedule, GrSchedule::Serial);
         assert!(c.load_verify);
-    }
-
-    #[test]
-    fn driver_config_converts_losslessly() {
-        let d = DriverConfig::with_threads(5);
-        let a: AnalysisConfig = d.into();
-        assert_eq!(a.threads, 5);
-        assert_eq!(a.query_mode, QueryMode::Matrix);
-        assert!(!a.load_verify);
-        let back: DriverConfig = a.into();
-        assert_eq!(back, d);
     }
 }

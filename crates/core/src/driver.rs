@@ -1,35 +1,19 @@
-//! The batch analysis driver: whole-module analysis and all-pairs
-//! query evaluation fanned out across a thread pool.
+//! The batch analysis driver: whole-module analysis plus every
+//! function's all-pairs matrix, for the paper's evaluation workloads —
+//! 22 benchmarks, all-pairs queries per function (Figures 13/14), and
+//! the million-instruction scaling sweep (Figure 15).
 //!
-//! The serial pipeline ([`RbaaAnalysis::analyze`]) walks one function
-//! at a time and answers every `p, q` query from scratch. For the
-//! paper's evaluation workloads — 22 benchmarks, all-pairs queries per
-//! function (Figures 13/14), and the million-instruction scaling sweep
-//! (Figure 15) — both are embarrassingly parallel along the function
-//! axis. [`BatchAnalysis`] exploits that:
-//!
-//! 1. **parallel** — the bootstrap integer ranges and the local (LR)
-//!    analysis of each function run on a hand-rolled
-//!    [`std::thread`]-pool ([`crate::pool`]). Kernel-symbol identities
-//!    are pre-assigned from per-function budgets
-//!    ([`sra_range::symbol_budget`]), so the assembled result is
-//!    byte-identical to the serial analysis regardless of scheduling.
-//! 2. **parallel** — the global (GR) analysis is *inter*procedural, so
-//!    it cannot shard along the function axis; instead it runs as a
-//!    wave schedule over the bottom-up SCC condensation of the call
-//!    graph ([`GrSchedule::Waves`](crate::GrSchedule)): the mutually
-//!    independent SCCs of each condensation level are solved
-//!    concurrently, with the Gauss–Seidel order inside each SCC — which
-//!    is part of the precision the snapshot tests pin — preserved
-//!    exactly. Results are byte-identical to the serial schedule.
-//! 3. **parallel** — one [`AliasMatrix`] per function, built on worker
-//!    threads with a per-worker [`sra_symbolic::ExprArena`] memoising
-//!    every range comparison. Repeat queries are `O(1)`.
-//!
-//! Determinism: every phase either runs in function order or writes
-//! into per-function slots, so results never depend on thread timing —
-//! the equivalence property test compares this driver against the
-//! serial per-query path verdict for verdict.
+//! [`BatchAnalysis`] analyzes through the pipeline an
+//! [`AnalysisSession`](crate::AnalysisSession) is constructed by — a
+//! session rebuild with every function dirty, on one
+//! [`WorkerPool`](crate::WorkerPool): per-function parts, canonical
+//! assembly and the GR wave solve (see the session module docs) — and
+//! then builds one [`AliasMatrix`] per function on the pool, with
+//! per-worker overlays memoising every range comparison. Every phase
+//! runs in function order or writes per-function slots, so results
+//! never depend on thread timing; the equivalence rails hold the driver
+//! to the serial reference ([`RbaaAnalysis::analyze_with`]) verdict for
+//! verdict and id for id.
 //!
 //! # Examples
 //!
@@ -50,48 +34,16 @@
 //! assert_eq!(batch.stats(fid).queries, 1);
 //! ```
 
+use std::sync::Arc;
+
 use sra_ir::{FuncId, Module, ValueId};
-use sra_range::{RangeAnalysis, RangeConfig, RangePart};
 
-use crate::gr::{GrAnalysis, GrConfig};
-use crate::lr::{self, LrAnalysis, LrPart};
-use crate::pool;
-use crate::query::{AliasAnalysis, AliasMatrix, AliasResult, QueryStats, RbaaAnalysis, WhichTest};
-
-/// Tuning knobs for [`BatchAnalysis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DriverConfig {
-    /// Worker threads for the per-function phases. `1` runs everything
-    /// inline (the deterministic reference schedule — results are
-    /// identical either way).
-    pub threads: usize,
-    /// Bootstrap integer-range configuration.
-    pub range: RangeConfig,
-    /// Global-analysis configuration. Its `threads` knob is overridden
-    /// with the driver's own [`DriverConfig::threads`], so one setting
-    /// governs every phase.
-    pub gr: GrConfig,
-}
-
-impl Default for DriverConfig {
-    fn default() -> Self {
-        DriverConfig {
-            threads: pool::default_threads(),
-            range: RangeConfig::default(),
-            gr: GrConfig::default(),
-        }
-    }
-}
-
-impl DriverConfig {
-    /// A config with an explicit worker count and default analyses.
-    pub fn with_threads(threads: usize) -> Self {
-        DriverConfig {
-            threads,
-            ..DriverConfig::default()
-        }
-    }
-}
+use crate::config::AnalysisConfig;
+use crate::pool::WorkerPool;
+use crate::query::{
+    AliasAnalysis, AliasMatrix, AliasResult, QueryMode, QueryStats, RbaaAnalysis, WhichTest,
+};
+use crate::session::{scratch, SessionStats};
 
 /// Wall-clock attribution of one pipeline run, phase by phase — how
 /// the driver (and the bench trajectory) proves where a scratch build
@@ -99,9 +51,8 @@ impl DriverConfig {
 /// analysis phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Symbol-budget pre-scan (fixes schedule-independent symbol ids).
-    pub budget_ns: u64,
-    /// Per-function bootstrap-range and LR part analyses.
+    /// Per-function bootstrap-range and LR part analyses, with the
+    /// rebase of every part onto its symbol block.
     pub parts_ns: u64,
     /// Canonical-arena assembly of the parts (range + LR imports).
     pub assemble_ns: u64,
@@ -116,20 +67,8 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// Sum of every recorded phase.
-    pub fn total_ns(&self) -> u64 {
-        self.budget_ns
-            + self.parts_ns
-            + self.assemble_ns
-            + self.gr_ns
-            + self.matrices_ns
-            + self.teardown_ns
-            + self.load_ns
-    }
-
     /// Field-wise accumulation.
     pub fn merge(&mut self, other: &PhaseStats) {
-        self.budget_ns += other.budget_ns;
         self.parts_ns += other.parts_ns;
         self.assemble_ns += other.assemble_ns;
         self.gr_ns += other.gr_ns;
@@ -144,94 +83,12 @@ pub(crate) fn ns_since(t: std::time::Instant) -> u64 {
     u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Runs the paper's full analysis pipeline (bootstrap ranges + GR +
-/// LR) with the per-function phases on `config.threads` workers. The
-/// result is byte-identical to [`RbaaAnalysis::analyze`]. Accepts
-/// either the unified [`crate::AnalysisConfig`] or the legacy
-/// [`DriverConfig`].
-pub fn analyze_parallel(m: &Module, config: impl Into<crate::AnalysisConfig>) -> RbaaAnalysis {
-    let config = config.into();
-    let pool = pool::WorkerPool::new(config.threads);
-    analyze_parallel_on(m, config, &pool).0
-}
-
-/// [`analyze_parallel`] on a caller-provided [`pool::WorkerPool`] —
-/// every phase (budget scan, part analyses, canonical assembly, GR
-/// waves) dispatches onto the same long-lived workers instead of
-/// spawning its own — with the per-phase wall-clock breakdown.
-pub fn analyze_parallel_on(
-    m: &Module,
-    config: impl Into<crate::AnalysisConfig>,
-    pool: &pool::WorkerPool,
-) -> (RbaaAnalysis, PhaseStats) {
-    let config = config.into().driver();
-    let nf = m.num_functions();
-    let mut phases = PhaseStats::default();
-
-    // Pre-assign symbol-id blocks so workers mint non-conflicting,
-    // schedule-independent symbols. The budget scans are cheap but
-    // parallel anyway (LR's needs a dominance tree).
-    let t = std::time::Instant::now();
-    let budgets: Vec<(usize, usize)> = pool.run_indexed(nf, |i| {
-        let fid = FuncId::new(i);
-        (
-            sra_range::symbol_budget(m.function(fid), config.range),
-            lr::symbol_budget(m, fid),
-        )
-    });
-    let mut range_bases = Vec::with_capacity(nf);
-    let mut lr_bases = Vec::with_capacity(nf);
-    let (mut rb, mut lb) = (0u32, 0u32);
-    for &(r, l) in &budgets {
-        range_bases.push(rb);
-        lr_bases.push(lb);
-        rb += r as u32;
-        lb += l as u32;
-    }
-    phases.budget_ns = ns_since(t);
-
-    // Per-function analyses on the pool.
-    let t = std::time::Instant::now();
-    let parts: Vec<(RangePart, LrPart)> = pool.run_indexed(nf, |i| {
-        let fid = FuncId::new(i);
-        (
-            sra_range::analyze_function_part(m.function(fid), config.range, range_bases[i]),
-            lr::analyze_function_part(m, fid, lr_bases[i]),
-        )
-    });
-    let mut range_parts = Vec::with_capacity(nf);
-    let mut lr_parts = Vec::with_capacity(nf);
-    for (r, l) in parts {
-        range_parts.push(r);
-        lr_parts.push(l);
-    }
-    phases.parts_ns = ns_since(t);
-
-    let t = std::time::Instant::now();
-    let ranges = RangeAnalysis::from_parts_on(range_parts, pool);
-    let lr = LrAnalysis::from_parts_on(lr_parts, pool);
-    phases.assemble_ns = ns_since(t);
-
-    // Interprocedural global analysis: wave-scheduled over the call
-    // graph's SCC condensation (see module docs), sharing the driver's
-    // pool.
-    let t = std::time::Instant::now();
-    let gr_config = GrConfig {
-        threads: config.threads,
-        ..config.gr
-    };
-    let gr = GrAnalysis::analyze_on(m, &ranges, gr_config, pool);
-    phases.gr_ns = ns_since(t);
-
-    (RbaaAnalysis::from_pieces(ranges, gr, lr), phases)
-}
-
 /// The batch driver's result: the full [`RbaaAnalysis`] plus one cached
 /// [`AliasMatrix`] per function.
 #[derive(Debug)]
 pub struct BatchAnalysis {
     rbaa: RbaaAnalysis,
-    matrices: Vec<AliasMatrix>,
+    matrices: Vec<Arc<AliasMatrix>>,
     phases: PhaseStats,
 }
 
@@ -239,65 +96,65 @@ impl BatchAnalysis {
     /// Analyzes `m` and evaluates every function's all-pairs matrix,
     /// with default configuration (all available workers).
     pub fn analyze(m: &Module) -> Self {
-        Self::analyze_with(m, crate::AnalysisConfig::default())
+        Self::analyze_with(m, AnalysisConfig::default())
     }
 
-    /// Analyzes `m` with an explicit configuration (unified
-    /// [`crate::AnalysisConfig`] or legacy [`DriverConfig`]). One pool
-    /// is spawned for the whole build; every phase reuses its workers.
-    pub fn analyze_with(m: &Module, config: impl Into<crate::AnalysisConfig>) -> Self {
+    /// Analyzes `m` with an explicit configuration on a pool of
+    /// `config.threads` workers (capped at the hardware's). The query
+    /// mode is ignored: a batch always builds every matrix.
+    pub fn analyze_with(m: &Module, config: impl Into<AnalysisConfig>) -> Self {
         let config = config.into();
-        let pool = pool::WorkerPool::new(config.threads);
-        let (rbaa, phases) = analyze_parallel_on(m, config, &pool);
-        let mut batch = Self::from_rbaa_on(rbaa, m, &pool);
-        batch.phases.merge(&phases);
-        batch
+        Self::analyze_on(m, config, &WorkerPool::new(config.threads))
     }
 
-    /// Builds the per-function matrices over an existing analysis, on a
-    /// one-shot pool of `threads` width.
-    pub fn from_rbaa(rbaa: RbaaAnalysis, m: &Module, threads: usize) -> Self {
-        Self::from_rbaa_on(rbaa, m, &pool::WorkerPool::new(threads))
-    }
-
-    /// Builds the per-function matrices over an existing analysis.
-    /// A single-function module hands the whole pool to that function's
-    /// signature triangle ([`AliasMatrix::build_with_on`] — `run_indexed`
-    /// of one job runs inline, leaving the workers free for the tiles);
-    /// several functions share the pool function-wise instead, so it is
-    /// never oversubscribed. Byte-identical either way.
-    pub fn from_rbaa_on(rbaa: RbaaAnalysis, m: &Module, pool: &pool::WorkerPool) -> Self {
-        let t = std::time::Instant::now();
-        let nf = m.num_functions();
-        let matrices = if nf == 1 {
-            // A lone function gets the whole pool for its signature
-            // triangle instead of one chunk of a one-function sweep.
-            vec![AliasMatrix::build_with_on(&rbaa, m, FuncId::new(0), pool)]
-        } else {
-            AliasMatrix::build_all_on(&rbaa, m, pool)
+    /// [`BatchAnalysis::analyze_with`] on a caller-provided pool, every
+    /// phase dispatching onto its workers. The module is not verified:
+    /// callers hand in well-formed modules (sessions verify theirs).
+    pub fn analyze_on(m: &Module, config: AnalysisConfig, pool: &WorkerPool) -> Self {
+        // Matrices are built once the scratch caches are gone: a batch
+        // keeps no parts, so they need not outlive the assembly.
+        let config = AnalysisConfig {
+            query_mode: QueryMode::Demand,
+            ..config
         };
+        let (rbaa, phases) = {
+            let (caches, phases) = scratch(m.clone(), config, pool, &mut SessionStats::default());
+            (caches.rbaa, phases)
+        };
+        Self::with_matrices(rbaa, m, pool, phases)
+    }
+
+    /// Builds the per-function matrices over an existing analysis (for
+    /// instance the serial reference), on a pool of `threads` width.
+    pub fn from_rbaa(rbaa: RbaaAnalysis, m: &Module, threads: usize) -> Self {
+        Self::with_matrices(rbaa, m, &WorkerPool::new(threads), PhaseStats::default())
+    }
+
+    /// Builds every function's matrix on `pool` — a lone function gets
+    /// the whole pool for its signature triangle, several share it
+    /// function-wise — and records the phase.
+    fn with_matrices(
+        rbaa: RbaaAnalysis,
+        m: &Module,
+        pool: &WorkerPool,
+        mut phases: PhaseStats,
+    ) -> Self {
+        let t = std::time::Instant::now();
+        let matrices = match m.num_functions() {
+            1 => vec![AliasMatrix::build_with_on(&rbaa, m, FuncId::new(0), pool)],
+            _ => AliasMatrix::build_all_on(&rbaa, m, pool),
+        };
+        phases.matrices_ns = ns_since(t);
         BatchAnalysis {
             rbaa,
-            matrices,
-            phases: PhaseStats {
-                matrices_ns: ns_since(t),
-                ..PhaseStats::default()
-            },
+            matrices: matrices.into_iter().map(Arc::new).collect(),
+            phases,
         }
     }
 
     /// The per-phase wall-clock breakdown of this build.
     pub fn phases(&self) -> &PhaseStats {
         &self.phases
-    }
-
-    /// Per-module totals of the matrices' packed-cell byte accounting.
-    pub fn total_matrix_bytes(&self) -> crate::query::MatrixBytes {
-        let mut total = crate::query::MatrixBytes::default();
-        for mx in &self.matrices {
-            total.merge(&mx.bytes());
-        }
-        total
     }
 
     /// The underlying analysis (states, symbol table, …).
@@ -414,7 +271,8 @@ mod tests {
         let m = sample_module();
         let serial = RbaaAnalysis::analyze(&m);
         for threads in [1, 4] {
-            let batch = BatchAnalysis::analyze_with(&m, DriverConfig::with_threads(threads));
+            let config = AnalysisConfig::builder().threads(threads).build();
+            let batch = BatchAnalysis::analyze_on(&m, config, &WorkerPool::forced(threads));
             for f in m.func_ids() {
                 let ptrs = pointer_values(&m, f);
                 for &p in &ptrs {
@@ -439,7 +297,9 @@ mod tests {
     fn parallel_analysis_is_byte_identical() {
         let m = sample_module();
         let serial = RbaaAnalysis::analyze(&m);
-        let parallel = analyze_parallel(&m, DriverConfig::with_threads(4));
+        let config = AnalysisConfig::builder().threads(4).build();
+        let batch = BatchAnalysis::analyze_on(&m, config, &WorkerPool::forced(4));
+        let parallel = batch.rbaa();
         // Same symbol tables (names in the same order)…
         assert_eq!(
             serial.symbols().iter().collect::<Vec<_>>(),

@@ -52,14 +52,14 @@
 //!
 //! Two SCCs on the same condensation level share no call edge in either
 //! direction, so they exchange no dataflow within a sweep. That is the
-//! parallelism [`GrSchedule::Waves`] exploits: each level's SCCs are
-//! analysed concurrently on the [`crate::pool`] thread pool — each task
-//! interning into a private *overlay* over the frozen solver arena —
-//! and after the level the overlays are merged back in SCC order
-//! ([`sra_symbolic::ExprArena::adopt`]), so the result is
-//! **byte-identical** to [`GrSchedule::Serial`] — the same determinism
-//! contract the batch driver established for the per-function phases.
-//! The `gr_schedule_equivalence` property suite pins the contract.
+//! parallelism the solver exploits on a pool wider than one: each
+//! level's SCCs are analysed concurrently on the [`crate::pool`] thread
+//! pool — each task interning into a private *overlay* over the frozen
+//! solver arena — and after the level the overlays are merged back in
+//! SCC order ([`sra_symbolic::ExprArena::adopt`]), so the result is
+//! **byte-identical** to the width-1 pool's level-by-level walk — the
+//! same determinism contract the per-function phases keep. The
+//! `gr_schedule_equivalence` property suite pins the contract.
 
 use std::sync::Arc;
 
@@ -67,29 +67,11 @@ use sra_ir::callgraph::{CallGraph, Condensation};
 use sra_ir::cfg::Cfg;
 use sra_ir::{Callee, CmpOp, FuncId, Inst, Module, Terminator, Ty, ValueId, ValueKind};
 use sra_range::RangeAnalysis;
-use sra_symbolic::{BoundId, ExprArena, ImportMap, OverlayPart, OverlayXlate, Symbol};
+use sra_symbolic::{BoundId, ExprArena, ImportMap, OverlayXlate, RangeId, Symbol, TryImportMap};
 
-use crate::locs::LocTable;
+use crate::locs::{LocId, LocTable};
 use crate::pool;
 use crate::state::{PtrState, PtrStateRef};
-
-/// How the module-level Gauss–Seidel sweeps are executed.
-///
-/// Both schedules visit functions in the *same* order (the bottom-up
-/// SCC condensation of the call graph) and produce byte-identical
-/// states; `Waves` additionally runs the mutually independent SCCs of
-/// each condensation level concurrently. A module that is one big
-/// recursive SCC collapses `Waves` back to effectively-serial
-/// execution — the schedule can only parallelise what recursion has
-/// not fused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GrSchedule {
-    /// Level by level on the calling thread.
-    Serial,
-    /// Same order and results; same-level SCCs fan out on the pool
-    /// with [`GrConfig::threads`] workers.
-    Waves,
-}
 
 /// Tuning knobs for [`GrAnalysis`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,10 +85,11 @@ pub struct GrConfig {
     /// cut set). Disabling this is only useful for ablation studies on
     /// acyclic programs.
     pub widening: bool,
-    /// How to execute the sweeps (results are identical either way).
-    pub schedule: GrSchedule,
-    /// Worker threads for [`GrSchedule::Waves`] (`1` runs inline; the
-    /// batch driver overrides this with its own worker count).
+    /// Worker threads: the mutually independent SCCs of each
+    /// condensation level fan out on a pool this wide (`1` runs level
+    /// by level on the calling thread; results are identical either
+    /// way). Sessions override this with
+    /// [`AnalysisConfig::threads`](crate::AnalysisConfig::threads).
     pub threads: usize,
 }
 
@@ -116,7 +99,6 @@ impl Default for GrConfig {
             descending_steps: 2,
             max_ascending_sweeps: 32,
             widening: true,
-            schedule: GrSchedule::Waves,
             threads: pool::default_threads(),
         }
     }
@@ -150,8 +132,7 @@ impl GrAnalysis {
         Self::analyze_on(m, ranges, config, &pool::WorkerPool::forced(config.threads))
     }
 
-    /// Runs the analysis with every parallel phase — the wave levels
-    /// and the final canonical re-interning — dispatched on `pool`.
+    /// Runs the analysis with the wave levels dispatched on `pool`.
     pub fn analyze_on(
         m: &Module,
         ranges: &RangeAnalysis,
@@ -177,7 +158,8 @@ impl GrAnalysis {
             solver.run(&components);
             (solver.states, solver.arena, solver.sweeps)
         };
-        let (states, arena) = canonicalize_states_on(states, &solver_arena, pool);
+        let finals = states.into_iter().map(FinalStates::Solved).collect();
+        let (states, arena) = canonicalize_states(finals, &solver_arena, None);
         GrAnalysis {
             locs,
             states,
@@ -247,94 +229,74 @@ impl GrAnalysis {
     }
 }
 
-/// Imports one state into `dst`, translating every range handle (the
-/// canonical re-interning after a solve, and the session's clean-
-/// component carry-over — there with a symbol renaming and a location
-/// remap on the keys).
-pub(crate) fn import_ptr_state(
+/// Where one function's final GR states come from.
+pub(crate) enum FinalStates<'a> {
+    /// Solved by this run: handles into the solver arena.
+    Solved(Vec<PtrState>),
+    /// Carried over from a previous fixpoint: handles into the
+    /// [`Carry`]'s arena, keyed by its location ids.
+    Carried(&'a [PtrState]),
+}
+
+/// How carried states move into a new canonical arena: the previous
+/// fixpoint's arena plus the symbol and location renamings an edit
+/// induced. Carried states only mention ids both maps translate.
+pub(crate) struct Carry<'a> {
+    pub(crate) arena: &'a ExprArena,
+    pub(crate) symbol: &'a (dyn Fn(Symbol) -> Option<Symbol> + Sync),
+    pub(crate) loc: &'a (dyn Fn(LocId) -> Option<LocId> + Sync),
+}
+
+/// Imports one function's final states into `dst`: solved states out
+/// of the solver arena (identity renaming), carried ones out of the
+/// carry's arena under its renamings.
+fn import_final(
     dst: &mut ExprArena,
-    src: &ExprArena,
-    s: &PtrState,
-    rename: &impl Fn(Symbol) -> Symbol,
-    map: &mut ImportMap,
-) -> PtrState {
-    match s {
-        PtrState::Top => PtrState::Top,
-        PtrState::Map(m) => PtrState::Map(
-            m.iter()
-                .map(|(loc, &r)| (*loc, dst.import_range(src, r, rename, map)))
-                .collect(),
+    solver_arena: &ExprArena,
+    carry: Option<&Carry<'_>>,
+    states: &FinalStates<'_>,
+    maps: &mut (ImportMap, TryImportMap),
+) -> Vec<PtrState> {
+    let (states, carry) = match states {
+        FinalStates::Solved(states) => (&states[..], None),
+        FinalStates::Carried(states) => (*states, Some(carry.expect("carried states are renamed"))),
+    };
+    let unmapped = "carried states only mention unedited ids";
+    let mut import = |(&l, &r): (&LocId, &RangeId)| match carry {
+        None => (l, dst.import_range(solver_arena, r, &|s| s, &mut maps.0)),
+        Some(c) => (
+            (c.loc)(l).expect(unmapped),
+            dst.try_import_range(c.arena, r, &c.symbol, &mut maps.1)
+                .expect(unmapped),
         ),
-    }
+    };
+    states
+        .iter()
+        .map(|s| match s {
+            PtrState::Top => PtrState::Top,
+            PtrState::Map(m) => PtrState::Map(m.iter().map(&mut import).collect()),
+        })
+        .collect()
 }
 
-/// Re-interns final solver states into a fresh canonical arena, in
-/// function/value order. The import is structure-driven, so the
-/// canonical arena — and every id — is a pure function of the final
-/// states: serial and wave solves (whose *solver* arenas differ in
-/// insertion order) land on identical canonical ids.
-fn canonicalize_states(
-    states: Vec<Vec<PtrState>>,
+/// Re-interns every function's final states into a fresh canonical
+/// arena in function/value order. The import is structure-driven, so
+/// every id is a pure function of the final states: serial and wave
+/// solves, and a session carrying most states over from its previous
+/// fixpoint, land on identical canonical ids. Serial on purpose: an
+/// overlay fan-out is byte-identical but was slower for session edits
+/// on a 2-core host (GR phase 71 vs 42–58 ms per rewrite of a
+/// 10⁵-instruction module) and no faster for scratch builds.
+pub(crate) fn canonicalize_states(
+    finals: Vec<FinalStates<'_>>,
     solver_arena: &ExprArena,
+    carry: Option<&Carry<'_>>,
 ) -> (Vec<Arc<Vec<PtrState>>>, Arc<ExprArena>) {
     let mut arena = ExprArena::new();
-    let mut map = ImportMap::default();
-    let out = states
-        .into_iter()
-        .map(|func| {
-            Arc::new(
-                func.iter()
-                    .map(|s| import_ptr_state(&mut arena, solver_arena, s, &|s| s, &mut map))
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect();
-    arena.absorb_op_stats(solver_arena);
-    (out, Arc::new(arena))
-}
-
-/// [`canonicalize_states`] with the per-function imports fanned out on
-/// `pool`: each function's states re-intern into a private overlay over
-/// a shared frozen empty arena, and the overlays merge into the
-/// canonical arena in function order.
-///
-/// Byte-identical to the serial walk — the same fixed-order
-/// overlay-adopt argument as
-/// [`sra_range::RangeAnalysis::from_parts_on`]: each overlay records
-/// its function's structures in the serial import's first-encounter
-/// order, and the in-order adopt dedups nodes already contributed by
-/// earlier functions while appending new ones in overlay order. A
-/// width-1 pool takes the serial path directly (the fan-out re-imports
-/// shared structures once per function, which only pays off with real
-/// parallelism).
-fn canonicalize_states_on(
-    states: Vec<Vec<PtrState>>,
-    solver_arena: &ExprArena,
-    pool: &pool::WorkerPool,
-) -> (Vec<Arc<Vec<PtrState>>>, Arc<ExprArena>) {
-    if pool.threads() == 1 || states.len() <= 1 {
-        return canonicalize_states(states, solver_arena);
-    }
-    let empty = Arc::new(ExprArena::new());
-    let imported: Vec<(Vec<PtrState>, OverlayPart)> = pool.run_map(states, |func| {
-        let mut overlay = ExprArena::with_base(Arc::clone(&empty));
-        let mut map = ImportMap::default();
-        let func = func
-            .iter()
-            .map(|s| import_ptr_state(&mut overlay, solver_arena, s, &|s| s, &mut map))
-            .collect();
-        (func, overlay.into_overlay_part())
-    });
-    let mut arena = ExprArena::new();
-    let out = imported
-        .into_iter()
-        .map(|(mut func, overlay)| {
-            let xl = arena.adopt(overlay);
-            for s in &mut func {
-                remap_state(s, &xl);
-            }
-            Arc::new(func)
-        })
+    let mut maps = Default::default();
+    let out = finals
+        .iter()
+        .map(|f| Arc::new(import_final(&mut arena, solver_arena, carry, f, &mut maps)))
         .collect();
     arena.absorb_op_stats(solver_arena);
     (out, Arc::new(arena))
@@ -380,8 +342,10 @@ pub(crate) fn build_callers(m: &Module) -> Vec<Vec<CallSite>> {
 
 /// One CFG per function (reverse post-orders drive the sweeps; the
 /// session caches these across edits).
-pub(crate) fn build_cfgs(m: &Module) -> Vec<Cfg> {
-    m.func_ids().map(|f| Cfg::new(m.function(f))).collect()
+pub(crate) fn build_cfgs(m: &Module) -> Vec<Arc<Cfg>> {
+    m.func_ids()
+        .map(|f| Arc::new(Cfg::new(m.function(f))))
+        .collect()
 }
 
 /// Whether `f` has a pointer formal, i.e. whether its visit joins its
@@ -638,7 +602,7 @@ pub(crate) struct SweepCtx<'a> {
     pub(crate) locs: &'a LocTable,
     /// Call sites targeting each function.
     pub(crate) callers: &'a [Vec<CallSite>],
-    pub(crate) cfgs: &'a [Cfg],
+    pub(crate) cfgs: &'a [Arc<Cfg>],
 }
 
 impl SweepCtx<'_> {
@@ -857,7 +821,7 @@ pub(crate) struct GrSolver<'a> {
 
 impl<'a> GrSolver<'a> {
     // The solver borrows each pre-built piece individually on purpose:
-    // callers assemble them at different times (driver vs session) and
+    // callers assemble them at different times (layer entry vs session) and
     // a params struct would just move the argument list one hop away.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
@@ -866,7 +830,7 @@ impl<'a> GrSolver<'a> {
         locs: &'a LocTable,
         config: GrConfig,
         callers: &'a [Vec<CallSite>],
-        cfgs: &'a [Cfg],
+        cfgs: &'a [Arc<Cfg>],
         cond: Condensation,
         pool: &'a pool::WorkerPool,
     ) -> Self {
@@ -1061,8 +1025,8 @@ impl<'a> GrSolver<'a> {
     }
 
     /// One sweep over the given condensation levels — bottom-up when
-    /// `up`, top-down otherwise. The two schedules visit identical
-    /// orders; `Waves` additionally runs each level's SCCs
+    /// `up`, top-down otherwise. Every pool width visits the identical
+    /// order; a pool wider than one additionally runs each level's SCCs
     /// concurrently (each interning into a private overlay, merged back
     /// in SCC order), which cannot change any result because same-level
     /// SCCs share no call edge and the overlay merge only translates
@@ -1078,7 +1042,6 @@ impl<'a> GrSolver<'a> {
     ) -> bool {
         let GrSolver {
             ctx,
-            config,
             cond,
             arena,
             states,
@@ -1095,9 +1058,8 @@ impl<'a> GrSolver<'a> {
         };
         let ctx: &SweepCtx = ctx;
         let cond: &Condensation = cond;
-        let config: GrConfig = *config;
         let pool: &pool::WorkerPool = pool;
-        let waves = matches!(config.schedule, GrSchedule::Waves) && pool.threads() > 1;
+        let waves = pool.threads() > 1;
         let mut changed = false;
         let mut order: Vec<&Vec<u32>> = levels.iter().collect();
         if !up {
@@ -1438,10 +1400,9 @@ mod tests {
         let depth = 64;
         let (m, funcs, _r) = chain_module(depth, false);
         let ra = RangeAnalysis::analyze(&m);
-        for schedule in [GrSchedule::Serial, GrSchedule::Waves] {
+        for threads in [1, 4] {
             let config = GrConfig {
-                schedule,
-                threads: 4,
+                threads,
                 ..GrConfig::default()
             };
             assert!(config.max_ascending_sweeps < depth as u32);
@@ -1474,12 +1435,11 @@ mod tests {
         let (m, funcs, main_call) = chain_module(n, true);
         let main = FuncId::new(n);
         let ra = RangeAnalysis::analyze(&m);
-        for schedule in [GrSchedule::Serial, GrSchedule::Waves] {
+        for threads in [1, 4] {
             let config = GrConfig {
                 widening: false,
                 max_ascending_sweeps: 2,
-                schedule,
-                threads: 4,
+                threads,
                 ..GrConfig::default()
             };
             let gr = GrAnalysis::analyze_with(&m, &ra, config);
@@ -1578,8 +1538,8 @@ mod tests {
     }
 
     /// The same ring with widening on and the default cap still
-    /// terminates, and both schedules agree state-for-state — down to
-    /// identical canonical-arena ids.
+    /// terminates, and width-1 and width-4 pools agree state-for-state
+    /// — down to identical canonical-arena ids.
     #[test]
     fn recursive_ring_schedules_agree() {
         let (m, _funcs, _r) = chain_module(6, true);
@@ -1588,7 +1548,6 @@ mod tests {
             &m,
             &ra,
             GrConfig {
-                schedule: GrSchedule::Serial,
                 threads: 1,
                 ..GrConfig::default()
             },
@@ -1597,7 +1556,6 @@ mod tests {
             &m,
             &ra,
             GrConfig {
-                schedule: GrSchedule::Waves,
                 threads: 4,
                 ..GrConfig::default()
             },

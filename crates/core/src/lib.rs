@@ -59,8 +59,8 @@ pub mod session;
 mod state;
 
 pub use config::{AnalysisConfig, AnalysisConfigBuilder};
-pub use driver::{analyze_parallel, analyze_parallel_on, BatchAnalysis, DriverConfig, PhaseStats};
-pub use gr::{GrAnalysis, GrConfig, GrSchedule};
+pub use driver::{BatchAnalysis, PhaseStats};
+pub use gr::{GrAnalysis, GrConfig};
 pub use locs::{AllocSite, LocId, LocKind, LocTable};
 pub use lr::{LocalBase, LrAnalysis, LrPart, LrState, LrStateRef};
 pub use persist::PersistError;

@@ -195,7 +195,7 @@ impl fmt::Display for DisplayLr<'_> {
 /// The per-function output of the local analysis: the states (ranges
 /// interned in the part's own arena) plus the offset-symbol names
 /// minted, in minting order. See [`sra_range::RangePart`] for the role
-/// parts play in the batch driver.
+/// parts play in the pooled pipeline.
 #[derive(Debug, Clone)]
 pub struct LrPart {
     /// The part's private arena (shared by reference with an
@@ -205,8 +205,9 @@ pub struct LrPart {
     pub states: Arc<Vec<Option<LrState>>>,
     /// The `first_symbol` this part was analyzed with.
     pub first_symbol: u32,
-    /// Names of the symbols minted, starting at `first_symbol`.
-    pub symbol_names: Vec<String>,
+    /// Names of the symbols minted, starting at `first_symbol` (shared,
+    /// like the arena, so cloning a part copies no strings).
+    pub symbol_names: Arc<[String]>,
 }
 
 impl LrPart {
@@ -323,7 +324,7 @@ impl LrAnalysis {
                 symbols.len(),
                 "LR parts assembled out of order or with wrong bases"
             );
-            for name in &part.symbol_names {
+            for name in part.symbol_names.iter() {
                 symbols.fresh(name);
             }
             let mut map = ImportMap::default();
@@ -365,7 +366,7 @@ impl LrAnalysis {
                 symbols.len(),
                 "LR parts assembled out of order or with wrong bases"
             );
-            for name in &part.symbol_names {
+            for name in part.symbol_names.iter() {
                 symbols.fresh(name);
             }
         }
@@ -455,7 +456,7 @@ pub fn analyze_function_part(m: &Module, fid: FuncId, first_symbol: u32) -> LrPa
         arena: Arc::new(arena),
         states: Arc::new(states),
         first_symbol,
-        symbol_names: minter.names,
+        symbol_names: minter.names.into(),
     }
 }
 

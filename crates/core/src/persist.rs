@@ -1063,7 +1063,7 @@ pub(crate) fn decode_range_part(dec: &mut Dec<'_>) -> Result<RangePart, PersistE
         arena: Arc::new(arena),
         ranges: Arc::new(ranges),
         first_symbol,
-        symbol_names,
+        symbol_names: symbol_names.into(),
     })
 }
 
@@ -1163,7 +1163,7 @@ pub(crate) fn decode_lr_part(
         arena: Arc::new(arena),
         states: Arc::new(states),
         first_symbol,
-        symbol_names,
+        symbol_names: symbol_names.into(),
     })
 }
 
@@ -1172,7 +1172,7 @@ pub(crate) fn decode_lr_part(
 // ---------------------------------------------------------------------
 
 use crate::config::AnalysisConfig;
-use crate::gr::{GrConfig, GrSchedule};
+use crate::gr::GrConfig;
 use crate::query::QueryMode;
 use sra_range::RangeConfig;
 
@@ -1184,10 +1184,10 @@ pub(crate) fn encode_config(enc: &mut Enc, c: &AnalysisConfig) {
     enc.u32(c.gr.descending_steps);
     enc.u32(c.gr.max_ascending_sweeps);
     enc.bool(c.gr.widening);
-    enc.u8(match c.gr.schedule {
-        GrSchedule::Serial => 0,
-        GrSchedule::Waves => 1,
-    });
+    // The retired GR schedule tag: every pool width now runs the one
+    // wave solver, so the byte keeps its old default (`1`, waves) and
+    // default-config snapshots stay byte-identical.
+    enc.u8(1);
     enc.usize(c.gr.threads);
     enc.u8(match c.query_mode {
         QueryMode::Matrix => 0,
@@ -1207,12 +1207,13 @@ pub(crate) fn decode_config(dec: &mut Dec<'_>) -> Result<AnalysisConfig, Persist
         descending_steps: dec.u32()?,
         max_ascending_sweeps: dec.u32()?,
         widening: dec.bool()?,
-        schedule: match dec.u8()? {
-            0 => GrSchedule::Serial,
-            1 => GrSchedule::Waves,
+        // The retired schedule tag precedes the thread count: both old
+        // values (serial, waves) ran byte-identical solves, so either
+        // loads; anything else is damage.
+        threads: match dec.u8()? {
+            0 | 1 => dec.usize()?,
             b => return Err(corrupt(format!("invalid schedule tag {b}"))),
         },
-        threads: dec.usize()?,
     };
     let query_mode = match dec.u8()? {
         0 => QueryMode::Matrix,

@@ -10,6 +10,7 @@ use sra_ir::{BlockId, FuncId, Module, Ty, ValueId};
 use sra_range::RangeAnalysis;
 use sra_symbolic::{ArenaStats, ExprArena, FxHashMap, RangeId, SymbolTable};
 
+use crate::config::AnalysisConfig;
 use crate::gr::{GrAnalysis, GrConfig};
 use crate::locs::{LocId, LocKind, LocTable};
 use crate::lr::{LocalBase, LrAnalysis};
@@ -95,23 +96,32 @@ pub struct RbaaAnalysis {
 }
 
 impl RbaaAnalysis {
-    /// Runs the full pipeline of Figure 5: bootstrap integer ranges,
-    /// global pointer analysis, local pointer analysis.
+    /// Runs the full pipeline of Figure 5 — bootstrap integer ranges,
+    /// global pointer analysis, local pointer analysis — with the
+    /// default configuration; see [`RbaaAnalysis::analyze_with`].
     pub fn analyze(m: &Module) -> Self {
-        Self::analyze_with(m, GrConfig::default())
+        Self::analyze_with(m, AnalysisConfig::default())
     }
 
-    /// Runs the pipeline with an explicit global-analysis configuration.
-    pub fn analyze_with(m: &Module, config: GrConfig) -> Self {
-        let ranges = RangeAnalysis::analyze(m);
-        let gr = GrAnalysis::analyze_with(m, &ranges, config);
+    /// Runs the pipeline layer by layer on the calling thread: each
+    /// layer's serial whole-module analysis, GR on a width-1 pool.
+    /// This is the independent reference the pooled session pipeline
+    /// ([`crate::AnalysisSession`], [`crate::BatchAnalysis`]) is held
+    /// byte-identical to; `config.threads` and the query and load
+    /// knobs do not apply.
+    pub fn analyze_with(m: &Module, config: AnalysisConfig) -> Self {
+        let ranges = RangeAnalysis::analyze_with(m, config.range);
+        let gr_config = GrConfig {
+            threads: 1,
+            ..config.gr
+        };
+        let gr = GrAnalysis::analyze_with(m, &ranges, gr_config);
         let lr = LrAnalysis::analyze(m);
         RbaaAnalysis { ranges, gr, lr }
     }
 
-    /// Assembles a result from already-computed pieces (the batch
-    /// driver runs the per-function pieces on worker threads; external
-    /// harnesses use it to time alternative pipeline schedules).
+    /// Assembles a result from already-computed pieces (external
+    /// harnesses use it to time the pipeline layer by layer).
     pub fn from_pieces(ranges: RangeAnalysis, gr: GrAnalysis, lr: LrAnalysis) -> Self {
         RbaaAnalysis { ranges, gr, lr }
     }
@@ -450,16 +460,17 @@ impl AliasMatrix {
     /// Builds the matrix over every pointer-typed value of `f`
     /// (serial — see [`AliasMatrix::build_with`]).
     pub fn build(rbaa: &RbaaAnalysis, m: &Module, f: FuncId) -> Self {
-        Self::build_for_with(rbaa, f, pointer_values(m, f), 1)
+        Self::build_with(rbaa, m, f, 1)
     }
 
     /// Like [`AliasMatrix::build`], with the signature triangle tiled
-    /// across `threads` pool workers — byte-identical to the serial
-    /// build (each tile proves its comparisons in its own overlay
-    /// arena, and verdicts depend only on the interned states, never on
-    /// which overlay memoised them).
+    /// across a one-shot pool of exactly `threads` workers —
+    /// byte-identical to the serial build (each tile proves its
+    /// comparisons in its own overlay arena, and verdicts depend only on
+    /// the interned states, never on which overlay memoised them).
     pub fn build_with(rbaa: &RbaaAnalysis, m: &Module, f: FuncId, threads: usize) -> Self {
-        Self::build_for_with(rbaa, f, pointer_values(m, f), threads)
+        let pool = pool::WorkerPool::forced(threads);
+        Self::build_for_on(rbaa, f, pointer_values(m, f), &pool)
     }
 
     /// Like [`AliasMatrix::build_with`], but the tiles ride an existing
@@ -473,33 +484,6 @@ impl AliasMatrix {
         pool: &pool::WorkerPool,
     ) -> Self {
         Self::build_for_on(rbaa, f, pointer_values(m, f), pool)
-    }
-
-    /// Builds the matrix over an explicit pointer universe (must be
-    /// duplicate-free), serially.
-    ///
-    /// Hash-consing happens at two levels: the states' offset ranges
-    /// are already interned handles into the GR/LR module arenas (the
-    /// per-build overlays memoise each distinct comparison once), and
-    /// whole pointer *states* are deduplicated into signature classes —
-    /// a function with `P` pointers typically has far fewer distinct
-    /// `(GR, LR)` states, and for `p ≠ q` the verdict depends only on
-    /// the states, so the `O(P²)` pair sweep collapses to `O(S²)`
-    /// state-pair verdicts plus an `O(P²)` table fill.
-    pub fn build_for(rbaa: &RbaaAnalysis, f: FuncId, ptrs: Vec<ValueId>) -> Self {
-        Self::build_for_with(rbaa, f, ptrs, 1)
-    }
-
-    /// [`AliasMatrix::build_for`] with a worker budget for the
-    /// signature triangle (a one-shot pool of exactly `threads`
-    /// workers, matching the historical semantics).
-    pub fn build_for_with(
-        rbaa: &RbaaAnalysis,
-        f: FuncId,
-        ptrs: Vec<ValueId>,
-        threads: usize,
-    ) -> Self {
-        Self::build_for_on(rbaa, f, ptrs, &pool::WorkerPool::forced(threads))
     }
 
     /// Builds every function's matrix on `pool`, functions chunked
@@ -635,8 +619,17 @@ impl AliasMatrix {
         Self::pack(ptrs, &sigs, &sig_cells, s)
     }
 
-    /// [`AliasMatrix::build_for`] with the signature triangle tiled
-    /// onto `pool`.
+    /// Builds the matrix over an explicit pointer universe (must be
+    /// duplicate-free), with the signature triangle tiled onto `pool`.
+    ///
+    /// Hash-consing happens at two levels: the states' offset ranges
+    /// are already interned handles into the GR/LR module arenas (the
+    /// per-build overlays memoise each distinct comparison once), and
+    /// whole pointer *states* are deduplicated into signature classes —
+    /// a function with `P` pointers typically has far fewer distinct
+    /// `(GR, LR)` states, and for `p ≠ q` the verdict depends only on
+    /// the states, so the `O(P²)` pair sweep collapses to `O(S²)`
+    /// state-pair verdicts plus an `O(P²)` table fill.
     pub fn build_for_on(
         rbaa: &RbaaAnalysis,
         f: FuncId,
@@ -873,7 +866,7 @@ pub struct DemandStats {
 /// against the interned GR/LR states with per-signature-pair
 /// memoisation — **no all-pairs matrix build**.
 ///
-/// Where [`AliasMatrix::build_for`] pays `O(S²)` signature verdicts
+/// Where [`AliasMatrix::build_for_on`] pays `O(S²)` signature verdicts
 /// plus an `O(P²)` fill up front, a `DemandCache` interns each
 /// pointer's state signature the first time a query mentions it and
 /// proves each unordered signature pair the first time a query needs

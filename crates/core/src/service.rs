@@ -60,7 +60,6 @@ use sra_ir::{FuncId, Function, Module, ValueId};
 use sra_lang::{CompileError, SourceProgram};
 
 use crate::config::AnalysisConfig;
-use crate::driver::DriverConfig;
 use crate::persist::{self, corrupt, PersistError};
 use crate::query::{AliasResult, QueryMode, WhichTest};
 use crate::session::{AnalysisSession, FrozenAnalysis, SessionEdit, SessionError, SessionStats};
@@ -353,8 +352,7 @@ impl AliasService {
     }
 
     /// An empty service; every tenant's session analyzes (and answers
-    /// queries) per `config` — the unified [`AnalysisConfig`] or a
-    /// legacy [`DriverConfig`]. [`QueryMode::Matrix`] snapshots are
+    /// queries) per `config`. [`QueryMode::Matrix`] snapshots are
     /// matrix-backed (lock-free `O(1)` lookups); [`QueryMode::Demand`]
     /// snapshots skip every matrix build and memoise single queries on
     /// demand.
@@ -363,18 +361,6 @@ impl AliasService {
             tenants: RwLock::new(HashMap::new()),
             config: config.into(),
         }
-    }
-
-    /// An empty service with an explicit driver configuration and
-    /// query mode.
-    #[deprecated(
-        note = "use `AliasService::with_config` with `AnalysisConfig::builder().query_mode(…)`"
-    )]
-    pub fn with_mode(config: DriverConfig, mode: QueryMode) -> Self {
-        Self::with_config(AnalysisConfig {
-            query_mode: mode,
-            ..config.into()
-        })
     }
 
     /// The configuration every tenant analyzes with.

@@ -15,9 +15,11 @@
 //!
 //! The specification is *byte-identity*: after every update, the
 //! session's verdicts, `WhichTest` attributions, displayed GR states
-//! and symbol tables are exactly those of a from-scratch
-//! [`analyze_parallel`](crate::analyze_parallel) +
-//! [`AliasMatrix`] build over the updated module. Anything less would
+//! and symbol tables are exactly those of a from-scratch build over the
+//! updated module — [`AnalysisSession::with_config`], whose pipeline is
+//! this same rebuild with every function dirty, and the serial
+//! reference [`RbaaAnalysis::analyze_with`] +
+//! [`AliasMatrix`] builds. Anything less would
 //! let incrementality silently change precision or soundness, so
 //! "equal to scratch" is the spec the `session_equivalence` property
 //! rail pins. Reuse happens at three granularities:
@@ -53,6 +55,16 @@
 //! [`SessionStats`] counts what was reused vs recomputed, so tests can
 //! assert e.g. that a no-op replace dirties nothing.
 //!
+//! # One pipeline, one commit path
+//!
+//! Construction is the same rebuild with every function dirty, over
+//! the caches of the empty module — the one scratch pipeline, which
+//! [`crate::BatchAnalysis`] builds through too. Every update, whatever
+//! its size, goes through [`AnalysisSession::apply_edits`]: it verifies
+//! only what the batch can break, computes the next caches from the
+//! current ones through `&self`, and commits them by swap, so a
+//! rejected or panicking update leaves the session as it was.
+//!
 //! # Examples
 //!
 //! ```
@@ -78,18 +90,18 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use sra_ir::callgraph::{CallGraph, Condensation};
 use sra_ir::cfg::Cfg;
 use sra_ir::verify::{verify_function, verify_module, VerifyError};
 use sra_ir::{FuncId, Function, Module, ValueId};
 use sra_range::{RangeAnalysis, RangePart};
-use sra_symbolic::{ExprArena, ImportMap, Symbol, TryImportMap};
+use sra_symbolic::{ExprArena, Symbol};
 
 use crate::config::AnalysisConfig;
-use crate::driver::{ns_since, DriverConfig, PhaseStats};
-use crate::gr::{self, GrAnalysis, GrConfig, GrSolver};
+use crate::driver::{ns_since, PhaseStats};
+use crate::gr::{self, Carry, FinalStates, GrAnalysis, GrConfig, GrSolver};
 use crate::locs::{LocId, LocTable};
 use crate::lr::{self, LrAnalysis, LrPart};
 use crate::persist::{self, PersistError};
@@ -214,23 +226,37 @@ struct CompCache {
     tripped: bool,
 }
 
-/// [`AnalysisSession::gr_settle`] of a function whose component's
-/// ascent tripped the cap: its final states were forced, so they carry
-/// no trajectory a slice could reuse.
+/// [`Caches::gr_settle`] of a function whose component's ascent
+/// tripped the cap: its final states were forced, so they carry no
+/// trajectory a slice could reuse.
 const TRIPPED: u32 = u32::MAX;
 
-/// A long-lived analysis handle over one module; see the module docs.
-/// Cloning is supported (and cheap relative to a rebuild — state
-/// vectors are shared) so servers can fork a session per speculative
-/// edit stream.
-pub struct AnalysisSession {
+/// The fewest moved parts a rebuild rebases on the pool. Rebased
+/// arenas outlive the rebuild, and allocating a small session's on
+/// worker threads raised `tenant_fleet` peak RSS from 84–87 to 91–99 MiB
+/// (2-core host); 10⁶-instruction scratch builds rebase ~20 % faster
+/// pooled.
+const REBASE_FANOUT: usize = 512;
+
+/// Everything a session derives from its module: the module itself,
+/// the per-function parts with their dense symbol-id blocks,
+/// CFGs, the call graph, the GR fixpoint metadata, the assembled
+/// analysis and the matrices.
+///
+/// [`Caches::rebuild`] reads one value through `&self` and returns the
+/// next; the session commits it by swap. An update therefore lands
+/// whole or not at all: a rejected — or panicking — update leaves the
+/// previous caches exactly as they were.
+#[derive(Clone)]
+pub(crate) struct Caches {
     module: Module,
-    config: AnalysisConfig,
-    /// Per-function caches, aligned with the module's function ids.
     range_parts: Vec<RangePart>,
     lr_parts: Vec<LrPart>,
-    cfgs: Vec<Cfg>,
+    cfgs: Vec<Arc<Cfg>>,
     callgraph: CallGraph,
+    /// The call graph's condensation (the old SCCs an edit compares
+    /// against).
+    cond: Condensation,
     /// GR fixpoints per weak component.
     components: Vec<CompCache>,
     /// The module-wide cap-trip flag every component's final states
@@ -240,17 +266,92 @@ pub struct AnalysisSession {
     /// Per function: [`GrSolver::settle`] from the solve that last ran
     /// it, or [`TRIPPED`].
     gr_settle: Vec<u32>,
-    /// The call graph's condensation (the old SCCs an edit compares
-    /// against).
-    cond: Condensation,
     /// The assembled whole-module analysis (byte-identical to scratch).
-    rbaa: RbaaAnalysis,
-    /// Per-function matrices behind [`std::sync::Arc`]s so a
+    pub(crate) rbaa: RbaaAnalysis,
+    /// Per-function matrices behind [`Arc`]s so a
     /// [`AnalysisSession::freeze`] snapshot shares them zero-copy: a
     /// rebuild allocates fresh `Arc`s only for invalidated matrices,
     /// and a published snapshot keeps superseded ones alive until its
-    /// last reader drops it. Stays empty in [`QueryMode::Demand`].
-    matrices: Vec<std::sync::Arc<AliasMatrix>>,
+    /// last reader drops it. Empty in [`QueryMode::Demand`].
+    pub(crate) matrices: Vec<Arc<AliasMatrix>>,
+}
+
+/// One update as [`Caches::rebuild`] consumes it: the updated module
+/// with its call graph and CFGs, plus what changed.
+struct Plan {
+    module: Module,
+    callgraph: CallGraph,
+    cfgs: Vec<Arc<Cfg>>,
+    /// Per new function id: replaced or added by the update.
+    edited: Vec<bool>,
+    /// The old ids the update removed, sorted.
+    removed: Vec<usize>,
+    /// The old callees of every replaced or removed function, in the
+    /// old id space (their pointer-formal ones read the edit).
+    old_callees: Vec<FuncId>,
+}
+
+/// The one scratch pipeline: [`Caches::rebuild`] of `module` with
+/// every function dirty, over the caches of the empty module.
+/// [`AnalysisSession::with_config`], [`crate::BatchAnalysis`] and
+/// [`AnalysisSession::verify_against_scratch`] all build through it.
+/// Counts the rebuild into `stats` like any other update.
+pub(crate) fn scratch(
+    module: Module,
+    config: AnalysisConfig,
+    pool: &pool::WorkerPool,
+    stats: &mut SessionStats,
+) -> (Caches, PhaseStats) {
+    let nf = module.num_functions();
+    let plan = Plan {
+        callgraph: CallGraph::build(&module),
+        cfgs: gr::build_cfgs(&module),
+        module,
+        edited: vec![true; nf],
+        removed: Vec::new(),
+        old_callees: Vec::new(),
+    };
+    let empty = Module::new();
+    let callgraph = CallGraph::build(&empty);
+    let nothing = Caches {
+        cond: Condensation::build(&callgraph),
+        callgraph,
+        module: empty,
+        range_parts: Vec::new(),
+        lr_parts: Vec::new(),
+        cfgs: Vec::new(),
+        components: Vec::new(),
+        gr_trip: false,
+        gr_settle: Vec::new(),
+        rbaa: RbaaAnalysis::from_pieces(
+            RangeAnalysis::from_parts(Vec::new()),
+            GrAnalysis::from_raw(
+                LocTable::default(),
+                Vec::new(),
+                Arc::new(ExprArena::new()),
+                0,
+            ),
+            LrAnalysis::from_parts(Vec::new()),
+        ),
+        matrices: Vec::new(),
+    };
+    nothing.rebuild(plan, config, pool, stats)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only fault injection: when set, the next rebuild on this
+    /// thread panics between its GR and matrix phases.
+    static REBUILD_FAULT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// A long-lived analysis handle over one module; see the module docs.
+/// Cloning is supported (and cheap relative to a rebuild — state
+/// vectors are shared) so servers can fork a session per speculative
+/// edit stream.
+pub struct AnalysisSession {
+    config: AnalysisConfig,
+    caches: Caches,
     /// The lazily started demand cache ([`QueryMode::Demand`] only);
     /// dropped on every rebuild — it indexes the superseded analysis.
     demand: Mutex<Option<DemandCache>>,
@@ -266,18 +367,8 @@ pub struct AnalysisSession {
 impl Clone for AnalysisSession {
     fn clone(&self) -> Self {
         AnalysisSession {
-            module: self.module.clone(),
             config: self.config,
-            range_parts: self.range_parts.clone(),
-            lr_parts: self.lr_parts.clone(),
-            cfgs: self.cfgs.clone(),
-            callgraph: self.callgraph.clone(),
-            components: self.components.clone(),
-            gr_trip: self.gr_trip,
-            gr_settle: self.gr_settle.clone(),
-            cond: self.cond.clone(),
-            rbaa: self.rbaa.clone(),
-            matrices: self.matrices.clone(),
+            caches: self.caches.clone(),
             // The demand cache is pure memoisation — the fork regrows
             // its own on first query.
             demand: Mutex::new(None),
@@ -289,7 +380,6 @@ impl Clone for AnalysisSession {
         }
     }
 }
-
 /// Locks a demand cache. The cache is a pure memo, so a lock poisoned
 /// by a panicking query is recovered by dropping the cache, which the
 /// next query regrows.
@@ -300,6 +390,27 @@ fn demand_lock(m: &Mutex<Option<DemandCache>>) -> MutexGuard<'_, Option<DemandCa
         *guard = None;
         guard
     })
+}
+
+/// Answers the query `(f, p, q)` from `f`'s cached matrix in `O(1)` —
+/// or from the demand cache in [`QueryMode::Demand`] — falling back to
+/// the direct computation for values outside the pointer universe.
+fn answer(
+    rbaa: &RbaaAnalysis,
+    matrices: &[Arc<AliasMatrix>],
+    mode: QueryMode,
+    demand: &Mutex<Option<DemandCache>>,
+    (f, p, q): (FuncId, ValueId, ValueId),
+) -> (AliasResult, Option<WhichTest>) {
+    if mode == QueryMode::Demand {
+        let mut guard = demand_lock(demand);
+        let cache = guard.get_or_insert_with(|| rbaa.demand_cache());
+        return cache.query(rbaa, f, p, q);
+    }
+    match matrices[f.index()].lookup(p, q) {
+        Some(v) => v,
+        None => rbaa.alias_with_test(f, p, q),
+    }
 }
 
 /// An immutable, self-contained snapshot of a session's analysis
@@ -389,15 +500,13 @@ impl FrozenAnalysis {
         p: ValueId,
         q: ValueId,
     ) -> (AliasResult, Option<WhichTest>) {
-        if self.mode == QueryMode::Demand {
-            let mut guard = demand_lock(&self.demand);
-            let cache = guard.get_or_insert_with(|| self.rbaa.demand_cache());
-            return cache.query(&self.rbaa, f, p, q);
-        }
-        match self.matrices[f.index()].lookup(p, q) {
-            Some(v) => v,
-            None => self.rbaa.alias_with_test(f, p, q),
-        }
+        answer(
+            &self.rbaa,
+            &self.matrices,
+            self.mode,
+            &self.demand,
+            (f, p, q),
+        )
     }
 }
 
@@ -412,18 +521,10 @@ impl AliasAnalysis for FrozenAnalysis {
 }
 
 impl AnalysisSession {
-    /// Builds a session over `module` with default configuration.
-    #[deprecated(note = "use `AnalysisSession::with_config` with `AnalysisConfig::default()`")]
-    pub fn new(module: Module) -> Result<Self, SessionError> {
-        Self::with_config(module, AnalysisConfig::default())
-    }
-
     /// Builds a session with an explicit configuration — the canonical
-    /// constructor. Accepts anything convertible into
-    /// [`AnalysisConfig`] (a legacy [`DriverConfig`] included).
-    /// [`QueryMode::Demand`] skips all matrix builds — initial and
-    /// after every edit — and answers queries from a lazily grown
-    /// [`DemandCache`].
+    /// constructor. [`QueryMode::Demand`] skips all matrix builds —
+    /// initial and after every edit — and answers queries from a lazily
+    /// grown [`DemandCache`].
     ///
     /// # Errors
     ///
@@ -435,64 +536,21 @@ impl AnalysisSession {
     ) -> Result<Self, SessionError> {
         let config = config.into();
         verify_module(&module)?;
-        let nf = module.num_functions();
-        let callgraph = CallGraph::build(&module);
-        let cfgs = gr::build_cfgs(&module);
-        // Placeholder analysis state; the initial rebuild treats every
-        // function as edited and fills all caches.
-        let rbaa = RbaaAnalysis::from_pieces(
-            RangeAnalysis::from_parts(Vec::new()),
-            GrAnalysis::from_raw(
-                LocTable::default(),
-                Vec::new(),
-                std::sync::Arc::new(ExprArena::new()),
-                0,
-            ),
-            LrAnalysis::from_parts(Vec::new()),
-        );
-        let mut session = AnalysisSession {
-            module,
+        let pool = pool::WorkerPool::new(config.threads);
+        let (caches, phases) = scratch(module, config, &pool, &mut SessionStats::default());
+        Ok(AnalysisSession {
             config,
-            range_parts: Vec::new(),
-            lr_parts: Vec::new(),
-            cfgs,
-            cond: Condensation::build(&callgraph),
-            callgraph,
-            components: Vec::new(),
-            gr_trip: false,
-            gr_settle: Vec::new(),
-            rbaa,
-            matrices: Vec::new(),
+            caches,
             demand: Mutex::new(None),
-            pool: pool::WorkerPool::new(config.threads),
-            phases: PhaseStats::default(),
+            pool,
+            phases,
             stats: SessionStats::default(),
-        };
-        let all: Vec<usize> = (0..nf).collect();
-        session.rebuild(&all, &[], &[]);
-        session.stats = SessionStats::default();
-        Ok(session)
-    }
-
-    /// Builds a session with a driver configuration and a query mode.
-    #[deprecated(
-        note = "use `AnalysisSession::with_config` with `AnalysisConfig::builder().query_mode(…)`"
-    )]
-    pub fn with_mode(
-        module: Module,
-        config: DriverConfig,
-        mode: QueryMode,
-    ) -> Result<Self, SessionError> {
-        let config = AnalysisConfig {
-            query_mode: mode,
-            ..config.into()
-        };
-        Self::with_config(module, config)
+        })
     }
 
     /// The module under analysis (reflecting every applied update).
     pub fn module(&self) -> &Module {
-        &self.module
+        &self.caches.module
     }
 
     /// The configuration the session analyzes with.
@@ -511,11 +569,10 @@ impl AnalysisSession {
         demand_lock(&self.demand).as_ref().map(|c| c.stats())
     }
 
-    /// The assembled analysis — byte-identical to
-    /// [`analyze_parallel`](crate::analyze_parallel) on
-    /// [`AnalysisSession::module`].
+    /// The assembled analysis — byte-identical to the serial reference
+    /// [`RbaaAnalysis::analyze_with`] on [`AnalysisSession::module`].
     pub fn analysis(&self) -> &RbaaAnalysis {
-        &self.rbaa
+        &self.caches.rbaa
     }
 
     /// The cached all-pairs matrix of `f`.
@@ -524,7 +581,7 @@ impl AnalysisSession {
     ///
     /// In [`QueryMode::Demand`] no matrices exist.
     pub fn matrix(&self, f: FuncId) -> &AliasMatrix {
-        &self.matrices[f.index()]
+        &self.caches.matrices[f.index()]
     }
 
     /// The Figure 13/14 statistics of `f`'s all-pairs sweep.
@@ -533,7 +590,7 @@ impl AnalysisSession {
     ///
     /// In [`QueryMode::Demand`] no matrices exist.
     pub fn stats_of(&self, f: FuncId) -> &QueryStats {
-        self.matrices[f.index()].stats()
+        self.caches.matrices[f.index()].stats()
     }
 
     /// Reuse/recompute counters accumulated over all updates.
@@ -556,9 +613,9 @@ impl AnalysisSession {
     /// a frozen snapshot.
     pub fn freeze(&self) -> FrozenAnalysis {
         FrozenAnalysis {
-            module: std::sync::Arc::new(self.module.clone()),
-            rbaa: self.rbaa.clone(),
-            matrices: self.matrices.clone().into(),
+            module: Arc::new(self.caches.module.clone()),
+            rbaa: self.caches.rbaa.clone(),
+            matrices: self.caches.matrices.clone().into(),
             mode: self.config.query_mode,
             demand: Mutex::new(None),
         }
@@ -574,15 +631,14 @@ impl AnalysisSession {
         p: ValueId,
         q: ValueId,
     ) -> (AliasResult, Option<WhichTest>) {
-        if self.config.query_mode == QueryMode::Demand {
-            let mut guard = demand_lock(&self.demand);
-            let cache = guard.get_or_insert_with(|| self.rbaa.demand_cache());
-            return cache.query(&self.rbaa, f, p, q);
-        }
-        match self.matrices[f.index()].lookup(p, q) {
-            Some(v) => v,
-            None => self.rbaa.alias_with_test(f, p, q),
-        }
+        let (rbaa, matrices) = (&self.caches.rbaa, &self.caches.matrices);
+        answer(
+            rbaa,
+            matrices,
+            self.config.query_mode,
+            &self.demand,
+            (f, p, q),
+        )
     }
 
     /// Replaces the body of `f` — sugar for a one-element
@@ -626,120 +682,12 @@ impl AnalysisSession {
     /// dangling-call report — when another function still calls `f`;
     /// the session is left unchanged.
     pub fn remove_function(&mut self, f: FuncId) -> Result<Function, SessionError> {
-        if f.index() >= self.module.num_functions() {
+        if f.index() >= self.caches.module.num_functions() {
             return Err(SessionError::NoSuchFunction(f));
         }
-        let removed = self.module.function(f).clone();
+        let removed = self.caches.module.function(f).clone();
         self.apply_edits(vec![SessionEdit::Remove { func: f }])?;
         Ok(removed)
-    }
-
-    /// The [`SessionEdit::Replace`] fast path: targeted verification
-    /// (the new body, plus callers only when the signature changed)
-    /// instead of the batch path's whole-module probe clone.
-    fn commit_single_replace(&mut self, f: FuncId, body: Function) -> Result<(), SessionError> {
-        if f.index() >= self.module.num_functions() {
-            return Err(SessionError::NoSuchFunction(f));
-        }
-        if *self.module.function(f) == body {
-            self.stats.edits += 1;
-            self.stats.noop_edits += 1;
-            self.stats.parts_reused += self.module.num_functions();
-            self.stats.matrices_reused += self.module.num_functions();
-            self.stats.gr_components_reused += self.components.len();
-            self.stats.gr_functions_carried += self.module.num_functions();
-            return Ok(());
-        }
-        let signature_changed = self.module.function(f).param_tys() != body.param_tys()
-            || self.module.function(f).ret_ty() != body.ret_ty();
-        let old = self.module.replace_function(f, body);
-        // Verify the new body plus — only when the signature changed —
-        // every caller whose call sites could now mismatch. Unrelated
-        // functions were valid before and cannot have been affected.
-        let mut check = verify_function(self.module.function(f), Some(&self.module));
-        if check.is_ok() && signature_changed {
-            for caller in self.module.func_ids() {
-                if caller != f && self.callgraph.callees(caller).contains(&f) {
-                    check = verify_function(self.module.function(caller), Some(&self.module));
-                    if check.is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        if let Err(e) = check {
-            self.module.replace_function(f, old);
-            return Err(e.into());
-        }
-        let old_callees = self.callgraph.callees(f).to_vec();
-        self.callgraph
-            .replace_function_edges(f, self.module.function(f));
-        self.cfgs[f.index()] = Cfg::new(self.module.function(f));
-        self.rebuild(&[f.index()], &[], &old_callees);
-        self.stats.edits += 1;
-        Ok(())
-    }
-
-    /// The [`SessionEdit::Add`] fast path: verifies just the new body.
-    fn commit_single_add(&mut self, body: Function) -> Result<FuncId, SessionError> {
-        let f = self.module.add_function(body);
-        if let Err(e) = verify_function(self.module.function(f), Some(&self.module)) {
-            self.module.remove_function(f);
-            return Err(e.into());
-        }
-        self.callgraph.push_function(self.module.function(f));
-        self.cfgs.push(Cfg::new(self.module.function(f)));
-        self.rebuild(&[f.index()], &[], &[]);
-        self.stats.edits += 1;
-        Ok(f)
-    }
-
-    /// The [`SessionEdit::Remove`] fast path: the whole-module probe
-    /// clone is taken only to surface the structured dangling-call
-    /// error, never on success.
-    fn commit_single_remove(&mut self, f: FuncId) -> Result<(), SessionError> {
-        if f.index() >= self.module.num_functions() {
-            return Err(SessionError::NoSuchFunction(f));
-        }
-        let still_called = self
-            .module
-            .func_ids()
-            .any(|caller| caller != f && self.callgraph.callees(caller).contains(&f));
-        if still_called {
-            // Surface the verifier's structured error for the dangling
-            // call sites the removal would create.
-            let mut probe = self.module.clone();
-            probe.remove_function(f);
-            let err = verify_module(&probe).expect_err("dangling calls fail verification");
-            return Err(err.into());
-        }
-        let gone = f.index();
-        let old_callees = self.callgraph.callees(f).to_vec();
-        self.module.remove_function(f);
-        self.callgraph.remove_function(f);
-        self.cfgs.remove(gone);
-        self.range_parts.remove(gone);
-        self.lr_parts.remove(gone);
-        if self.config.query_mode == QueryMode::Matrix {
-            self.matrices.remove(gone);
-        }
-        // Shift cached component members into the new id space; the
-        // removed function's own component is dropped (its membership
-        // changed, so it could never match again anyway).
-        self.components.retain_mut(|c| {
-            if c.members.iter().any(|m| m.index() == gone) {
-                return false;
-            }
-            for m in &mut c.members {
-                if m.index() > gone {
-                    *m = FuncId::new(m.index() - 1);
-                }
-            }
-            true
-        });
-        self.rebuild(&[], &[gone], &old_callees);
-        self.stats.edits += 1;
-        Ok(())
     }
 
     /// Applies a batch of edits **atomically**: either every edit lands
@@ -748,14 +696,12 @@ impl AnalysisSession {
     /// [`AnalysisSession::replace_function`],
     /// [`AnalysisSession::add_function`] and
     /// [`AnalysisSession::remove_function`] are one-element-batch sugar
-    /// over it, and a one-element batch takes a targeted-verification
-    /// fast path (no whole-module probe clone). All ids in the batch —
-    /// replace and remove targets alike — are interpreted in the
-    /// session's *pre-batch* id space; added bodies may call each other
-    /// (and replaced survivors) at `pre_batch_count + k` for the `k`-th
-    /// add. Removals compact ids exactly like
-    /// [`Module::remove_functions`]. Returns the *post-batch* ids of
-    /// the added functions, in batch order.
+    /// over it. All ids in the batch — replace and remove targets
+    /// alike — are interpreted in the session's *pre-batch* id space;
+    /// added bodies may call each other (and replaced survivors) at
+    /// `pre_batch_count + k` for the `k`-th add. Removals compact ids
+    /// exactly like [`Module::remove_functions`]. Returns the
+    /// *post-batch* ids of the added functions, in batch order.
     ///
     /// A batch that changes nothing (empty, or replaces whose bodies
     /// equal the current ones) is one no-op edit: nothing is dirtied
@@ -765,8 +711,14 @@ impl AnalysisSession {
     /// Grouped edits can be *individually* invalid but jointly valid —
     /// e.g. a signature change plus the caller rewrites it forces, or a
     /// removal plus edits that drop the last calls to the removed
-    /// function — which is exactly why verification runs once against
-    /// the would-be final module rather than per edit.
+    /// function — which is why verification runs against the would-be
+    /// final module rather than per edit. It checks only what the batch
+    /// can break, in ascending final-id order: the replaced and added
+    /// bodies, and the surviving callers of every removed function and
+    /// of every function whose parameter or return types changed. Every
+    /// other function verified before and its callees' signatures did
+    /// not change, so the first error found is the one
+    /// [`verify_module`] would report on the final module.
     ///
     /// # Errors
     ///
@@ -774,26 +726,9 @@ impl AnalysisSession {
     /// [`SessionError::DuplicateTarget`] for malformed batches, and
     /// [`SessionError::Verify`] when the final module fails
     /// verification. The session is unchanged on every error.
-    pub fn apply_edits(
-        &mut self,
-        mut edits: Vec<SessionEdit>,
-    ) -> Result<Vec<FuncId>, SessionError> {
-        if edits.len() == 1 {
-            // A one-element batch can verify exactly what the edit
-            // touches; the general path below pays a whole-module probe
-            // clone, which at million-instruction scale dominates the
-            // edit itself.
-            return match edits.pop().expect("length checked") {
-                SessionEdit::Replace { func, body } => {
-                    self.commit_single_replace(func, body).map(|()| Vec::new())
-                }
-                SessionEdit::Add { body } => self.commit_single_add(body).map(|f| vec![f]),
-                SessionEdit::Remove { func } => {
-                    self.commit_single_remove(func).map(|()| Vec::new())
-                }
-            };
-        }
-        let nf = self.module.num_functions();
+    pub fn apply_edits(&mut self, edits: Vec<SessionEdit>) -> Result<Vec<FuncId>, SessionError> {
+        let old = &self.caches;
+        let nf = old.module.num_functions();
         let mut targeted = vec![false; nf];
         for e in &edits {
             if let SessionEdit::Replace { func, .. } | SessionEdit::Remove { func } = e {
@@ -808,109 +743,131 @@ impl AnalysisSession {
         }
         let mut replaces: Vec<(FuncId, Function)> = Vec::new();
         let mut adds: Vec<Function> = Vec::new();
-        let mut removes: Vec<usize> = Vec::new();
+        let mut removed: Vec<usize> = Vec::new();
         for e in edits {
             match e {
                 SessionEdit::Replace { func, body } => {
                     // Identical bodies change nothing; dropping them
                     // here keeps their parts/matrices on the reuse path.
-                    if *self.module.function(func) != body {
+                    if *old.module.function(func) != body {
                         replaces.push((func, body));
                     }
                 }
                 SessionEdit::Add { body } => adds.push(body),
-                SessionEdit::Remove { func } => removes.push(func.index()),
+                SessionEdit::Remove { func } => removed.push(func.index()),
             }
         }
-        removes.sort_unstable();
-        if replaces.is_empty() && adds.is_empty() && removes.is_empty() {
-            self.stats.edits += 1;
-            self.stats.noop_edits += 1;
-            self.stats.parts_reused += nf;
-            self.stats.matrices_reused += nf;
-            self.stats.gr_components_reused += self.components.len();
-            self.stats.gr_functions_carried += nf;
+        removed.sort_unstable();
+        if replaces.is_empty() && adds.is_empty() && removed.is_empty() {
+            let s = &mut self.stats;
+            s.edits += 1;
+            s.noop_edits += 1;
+            s.parts_reused += nf;
+            s.matrices_reused += nf;
+            s.gr_components_reused += old.components.len();
+            s.gr_functions_carried += nf;
             return Ok(Vec::new());
         }
-        // Verify the would-be final module on a scratch clone before
-        // touching any cache: replaces, then adds, then the batch
-        // removal (which reports calls into removed functions as
-        // dangling-callee errors).
-        let removed_ids: Vec<FuncId> = removes.iter().map(|&i| FuncId::new(i)).collect();
-        {
-            let mut probe = self.module.clone();
-            for (f, body) in &replaces {
-                probe.replace_function(*f, body.clone());
-            }
-            for body in &adds {
-                probe.add_function(body.clone());
-            }
-            probe.remove_functions(&removed_ids);
-            verify_module(&probe)?;
+        let new_id = |o: usize| o - removed.partition_point(|&r| r < o);
+
+        // The would-be final module: replaces and adds in the pre-batch
+        // id space (`pre`), then the batch removal. Function bodies are
+        // shared, so both clones are pointer copies.
+        let mut pre = old.module.clone();
+        let mut touched: Vec<FuncId> = Vec::with_capacity(replaces.len() + adds.len());
+        // Functions whose surviving callers must re-verify: removed
+        // ones, and replaced ones whose signature changed.
+        let mut recheck_callers = vec![false; nf];
+        for &r in &removed {
+            recheck_callers[r] = true;
         }
-        // Commit. Mirrors the single-edit paths; cannot fail past here.
-        let old_callees: Vec<FuncId> = replaces
-            .iter()
-            .map(|(f, _)| *f)
-            .chain(removed_ids.iter().copied())
-            .flat_map(|f| self.callgraph.callees(f).iter().copied())
-            .collect();
-        let mut edited: Vec<usize> = Vec::new();
-        let mut touched: Vec<FuncId> = Vec::new();
         for (f, body) in replaces {
-            self.module.replace_function(f, body);
-            self.cfgs[f.index()] = Cfg::new(self.module.function(f));
+            let was = old.module.function(f);
+            recheck_callers[f.index()] |=
+                was.param_tys() != body.param_tys() || was.ret_ty() != body.ret_ty();
+            pre.replace_function(f, body);
             touched.push(f);
-            // Post-batch id: removals below shift later ids down.
-            edited.push(f.index() - removes.partition_point(|&r| r < f.index()));
         }
-        let num_adds = adds.len();
         for body in adds {
-            let f = self.module.add_function(body);
-            self.callgraph.push_function(self.module.function(f));
-            self.cfgs.push(Cfg::new(self.module.function(f)));
-            touched.push(f);
+            touched.push(pre.add_function(body));
         }
-        // Re-derive the out-edges of every touched row only now, when
-        // the node count includes all of the batch's additions: a
-        // replaced (or earlier-added) body may call a function added
-        // later in the same batch, whose id was out of range — and
-        // would be silently filtered — at its own commit point.
-        for f in touched {
-            self.callgraph
-                .replace_function_edges(f, self.module.function(f));
+        let mut module = pre.clone();
+        let removed_ids: Vec<FuncId> = removed.iter().map(|&i| FuncId::new(i)).collect();
+        module.remove_functions(&removed_ids);
+
+        let mut check: Vec<usize> = touched.iter().map(|f| new_id(f.index())).collect();
+        if recheck_callers.contains(&true) {
+            // Untargeted callers: removed and replaced ones are settled.
+            check.extend(
+                (0..nf)
+                    .filter(|&c| {
+                        !targeted[c]
+                            && old
+                                .callgraph
+                                .callees(FuncId::new(c))
+                                .iter()
+                                .any(|g| recheck_callers[g.index()])
+                    })
+                    .map(new_id),
+            );
         }
-        for &gone in removes.iter().rev() {
-            let f = FuncId::new(gone);
-            self.module.remove_function(f);
-            self.callgraph.remove_function(f);
-            self.cfgs.remove(gone);
-            self.range_parts.remove(gone);
-            self.lr_parts.remove(gone);
-            if self.config.query_mode == QueryMode::Matrix {
-                self.matrices.remove(gone);
+        check.sort_unstable();
+        check.dedup();
+        for &i in &check {
+            verify_function(module.function(FuncId::new(i)), Some(&module))?;
+        }
+
+        // Derive the new call graph and CFGs. Touched rows are
+        // re-derived only once the node count includes every addition:
+        // a replaced (or earlier-added) body may call a function added
+        // later in the same batch.
+        let mut callgraph = old.callgraph.clone();
+        let mut cfgs = old.cfgs.clone();
+        for &f in &touched {
+            let cfg = Arc::new(Cfg::new(pre.function(f)));
+            if f.index() < nf {
+                cfgs[f.index()] = cfg;
+            } else {
+                callgraph.push_function(pre.function(f));
+                cfgs.push(cfg);
             }
-            self.components.retain_mut(|c| {
-                if c.members.iter().any(|m| m.index() == gone) {
-                    return false;
-                }
-                for m in &mut c.members {
-                    if m.index() > gone {
-                        *m = FuncId::new(m.index() - 1);
-                    }
-                }
-                true
-            });
         }
-        // Adds landed at nf..nf+num_adds pre-removal; every removal is
-        // below nf, so post-batch they sit at the tail, in order.
-        let new_nf = self.module.num_functions();
-        let added_ids: Vec<FuncId> = (new_nf - num_adds..new_nf).map(FuncId::new).collect();
-        edited.extend(added_ids.iter().map(|f| f.index()));
-        edited.sort_unstable();
-        self.rebuild(&edited, &removes, &old_callees);
-        self.stats.edits += 1;
-        Ok(added_ids)
+        for &f in &touched {
+            callgraph.replace_function_edges(f, pre.function(f));
+        }
+        let old_callees: Vec<FuncId> = touched
+            .iter()
+            .filter(|f| f.index() < nf)
+            .chain(&removed_ids)
+            .flat_map(|&f| old.callgraph.callees(f).iter().copied())
+            .collect();
+        for &f in removed_ids.iter().rev() {
+            callgraph.remove_function(f);
+            cfgs.remove(f.index());
+        }
+        let new_nf = module.num_functions();
+        let mut edited = vec![false; new_nf];
+        for f in &touched {
+            edited[new_id(f.index())] = true;
+        }
+        // Adds landed at nf.. pre-removal; every removal is below nf,
+        // so post-batch they sit at the tail, in order.
+        let added: Vec<FuncId> = (new_nf + nf - pre.num_functions()..new_nf)
+            .map(FuncId::new)
+            .collect();
+        let plan = Plan {
+            module,
+            callgraph,
+            cfgs,
+            edited,
+            removed,
+            old_callees,
+        };
+        let mut stats = self.stats;
+        let (caches, phases) = old.rebuild(plan, self.config, &self.pool, &mut stats);
+        stats.edits += 1;
+        self.commit(caches, phases, stats);
+        Ok(added)
     }
 
     /// Applies a [`sra_lang::SourceDiff`] — the output of
@@ -953,139 +910,63 @@ impl AnalysisSession {
                 self.apply_edits(edits).map(|_| ())
             }
             sra_lang::SourceDiff::FullRebuild { module } => {
-                let mut fresh = Self::with_config(module, self.config)?;
-                let new_nf = fresh.module.num_functions();
-                fresh.stats = self.stats;
-                fresh.stats.edits += 1;
-                fresh.stats.parts_reanalyzed += new_nf;
-                fresh.stats.gr_components_solved += fresh.components.len();
-                fresh.stats.gr_functions_resolved += new_nf;
-                if fresh.config.query_mode == QueryMode::Matrix {
-                    fresh.stats.matrices_rebuilt += new_nf;
-                }
-                *self = fresh;
+                verify_module(&module)?;
+                let mut stats = self.stats;
+                let (caches, phases) = scratch(module, self.config, &self.pool, &mut stats);
+                stats.edits += 1;
+                self.commit(caches, phases, stats);
                 Ok(())
             }
         }
     }
 
-    /// Recomputes the analysis after a structural update. `edited`
-    /// holds the current-id indices of replaced/added functions;
-    /// `removed` the (sorted, pre-batch) old indices removals vacated
-    /// (for the id-shift remaps of cached state); `old_callees` the
-    /// pre-update callees of every replaced or removed function, in
-    /// the old id space (their pointer-formal ones read the edit).
-    fn rebuild(&mut self, edited: &[usize], removed: &[usize], old_callees: &[FuncId]) {
+    /// Commits a rebuild by swap. The superseded caches are dropped
+    /// here, timed on their own so the edit decomposes honestly; any
+    /// grown demand cache indexes the superseded analysis and goes too.
+    fn commit(&mut self, caches: Caches, mut phases: PhaseStats, stats: SessionStats) {
+        let old = std::mem::replace(&mut self.caches, caches);
+        let t_teardown = std::time::Instant::now();
+        drop(old);
+        phases.teardown_ns = ns_since(t_teardown);
+        *demand_lock(&self.demand) = None;
+        self.phases = phases;
+        self.stats = stats;
+    }
+}
+
+impl Caches {
+    /// Computes the caches after the update `plan` describes, reading
+    /// the current ones: re-analyzes the edited functions' parts and
+    /// rebases the rest, re-solves the edit's GR slice and carries
+    /// every other function's fixpoint over, and rebuilds the matrices
+    /// whose verdicts may have changed. Counts what it reused and
+    /// recomputed into `stats`.
+    fn rebuild(
+        &self,
+        plan: Plan,
+        config: AnalysisConfig,
+        pool: &pool::WorkerPool,
+        stats: &mut SessionStats,
+    ) -> (Caches, PhaseStats) {
+        let Plan {
+            module,
+            callgraph,
+            cfgs,
+            edited,
+            removed,
+            old_callees,
+        } = plan;
         debug_assert!(removed.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
-        let nf = self.module.num_functions();
-        // Functions below `survivors` existed before the update (the
-        // removals already compacted the part caches; the additions
-        // are not spliced in yet); the rest were added by it.
-        let survivors = self.range_parts.len();
-        let is_edited = |i: usize| edited.contains(&i);
-        // Old-space metadata needed for the rebase/remap maps, captured
-        // before any cache is touched. `old_of[i]` translates a current
-        // id back into the pre-update id space: the surviving old ids,
-        // in order, skipping every removed slot.
-        let old_of: Vec<usize> = (0..nf + removed.len())
+        let m = &module;
+        let nf = m.num_functions();
+        let old_nf = self.module.num_functions();
+        // Functions below `survivors` existed before the update; the
+        // rest were added by it. `old_of[i]` translates a surviving
+        // current id back into the pre-update id space.
+        let survivors = old_nf - removed.len();
+        let old_of: Vec<usize> = (0..old_nf)
             .filter(|o| removed.binary_search(o).is_err())
             .collect();
-        let old_fid_of = |i: usize| old_of[i];
-        // The spans are indexed by OLD function ids: the removals
-        // already compacted `range_parts`, so re-open a zero-budget gap
-        // at each vacated slot (its exact old budget is gone with the
-        // part, but a zero-budget span at the block's old start makes
-        // every symbol it minted correctly unmappable). Ascending
-        // insertion order keeps earlier gaps' positions stable.
-        let mut old_range_spans: Vec<(u32, u32)> = self
-            .range_parts
-            .iter()
-            .map(|p| (p.first_symbol, p.symbol_names.len() as u32))
-            .collect();
-        for &gone in removed {
-            let gap_first = if gone == 0 {
-                0
-            } else {
-                let (first, budget) = old_range_spans[gone - 1];
-                first + budget
-            };
-            old_range_spans.insert(gone, (gap_first, 0));
-        }
-        let old_locs = self.rbaa.gr().locs();
-
-        // -- 1. Function parts: recompute edited, rebase the rest. ----
-        let t_parts = std::time::Instant::now();
-        let m = &self.module;
-        let config = self.config;
-        let recomputed: Vec<(usize, RangePart, LrPart)> = {
-            let todo: Vec<usize> = (0..nf).filter(|&i| is_edited(i)).collect();
-            let parts = self.pool.run_indexed(todo.len(), |k| {
-                let i = todo[k];
-                let fid = FuncId::new(i);
-                (
-                    sra_range::analyze_function_part(m.function(fid), config.range, 0),
-                    lr::analyze_function_part(m, fid, 0),
-                )
-            });
-            todo.into_iter()
-                .zip(parts)
-                .map(|(i, (r, l))| (i, r, l))
-                .collect()
-        };
-        // Splice recomputed parts in (added functions extend the vecs).
-        for (i, r, l) in recomputed {
-            if i < self.range_parts.len() {
-                self.range_parts[i] = r;
-                self.lr_parts[i] = l;
-            } else {
-                debug_assert_eq!(i, self.range_parts.len(), "functions are appended in order");
-                self.range_parts.push(r);
-                self.lr_parts.push(l);
-            }
-        }
-        // Prefix-sum the new symbol bases and rebase every part that
-        // moved — exactly the block assignment `analyze_parallel` uses.
-        let mut range_base = 0u32;
-        let mut lr_base = 0u32;
-        for i in 0..nf {
-            let (rp, lp) = (&mut self.range_parts[i], &mut self.lr_parts[i]);
-            let moved = rp.first_symbol != range_base || lp.first_symbol != lr_base;
-            rp.rebase(range_base);
-            lp.rebase(lr_base);
-            range_base += rp.symbol_names.len() as u32;
-            lr_base += lp.symbol_names.len() as u32;
-            if is_edited(i) {
-                self.stats.parts_reanalyzed += 1;
-            } else {
-                self.stats.parts_reused += 1;
-                if moved {
-                    self.stats.parts_rebased += 1;
-                }
-            }
-        }
-        let parts_ns = ns_since(t_parts);
-        let t_assemble = std::time::Instant::now();
-        let ranges = RangeAnalysis::from_parts_on(self.range_parts.clone(), &self.pool);
-        let lr = LrAnalysis::from_parts_on(self.lr_parts.clone(), &self.pool);
-        let assemble_ns = ns_since(t_assemble);
-
-        // -- 2. The old→new renaming maps for cached GR states. -------
-        let t_gr = std::time::Instant::now();
-        let locs = LocTable::build(m);
-        let new_range_spans: Vec<(u32, u32)> = self
-            .range_parts
-            .iter()
-            .map(|p| (p.first_symbol, p.symbol_names.len() as u32))
-            .collect();
-        // Old symbol → owning old function, by binary search over the
-        // old block spans (which stay sorted even when a removal left a
-        // gap).
-        let old_owner = |s: Symbol| -> Option<usize> {
-            let i = old_range_spans.partition_point(|&(first, _)| first <= s.index());
-            let i = i.checked_sub(1)?;
-            let (first, budget) = old_range_spans[i];
-            (s.index() < first + budget).then_some(i)
-        };
         // A current id for an old function id (None: a removed one).
         let new_fid_of = |old: usize| -> Option<usize> {
             match removed.binary_search(&old) {
@@ -1093,29 +974,105 @@ impl AnalysisSession {
                 Err(k) => Some(old - k),
             }
         };
+
+        // -- 1. Function parts: recompute edited, rebase the rest. ----
+        let t_parts = std::time::Instant::now();
+        let todo: Vec<usize> = (0..nf).filter(|&i| edited[i]).collect();
+        let mut fresh = pool
+            .run_indexed(todo.len(), |k| {
+                let fid = FuncId::new(todo[k]);
+                (
+                    sra_range::analyze_function_part(m.function(fid), config.range, 0),
+                    lr::analyze_function_part(m, fid, 0),
+                )
+            })
+            .into_iter();
+        // Prefix-sum the symbol bases and rebase, on the pool, every
+        // part whose block moved.
+        // Each moved part is handed to its job, so the arena it replaces
+        // is freed as soon as it is rebased.
+        let (mut range_base, mut lr_base) = (0u32, 0u32);
+        let mut parts: Vec<Option<(RangePart, LrPart)>> = Vec::with_capacity(nf);
+        let mut moved = Vec::new();
+        for i in 0..nf {
+            let (r, l) = if edited[i] {
+                stats.parts_reanalyzed += 1;
+                fresh.next().expect("one part per edited function")
+            } else {
+                stats.parts_reused += 1;
+                let o = old_of[i];
+                (self.range_parts[o].clone(), self.lr_parts[o].clone())
+            };
+            let bases = (range_base, lr_base);
+            range_base += r.symbol_names.len() as u32;
+            lr_base += l.symbol_names.len() as u32;
+            if bases == (r.first_symbol, l.first_symbol) {
+                parts.push(Some((r, l)));
+            } else {
+                stats.parts_rebased += usize::from(!edited[i]);
+                moved.push((i, r, l, bases));
+                parts.push(None);
+            }
+        }
+        let rebase = |(i, mut r, mut l, (rb, lb)): (usize, RangePart, LrPart, _)| {
+            r.rebase(rb);
+            l.rebase(lb);
+            (i, r, l)
+        };
+        let rebased = if moved.len() < REBASE_FANOUT {
+            moved.into_iter().map(rebase).collect()
+        } else {
+            pool.run_map(moved, rebase)
+        };
+        for (i, r, l) in rebased {
+            parts[i] = Some((r, l));
+        }
+        let (range_parts, lr_parts): (Vec<RangePart>, Vec<LrPart>) = parts
+            .into_iter()
+            .map(|p| p.expect("every part placed"))
+            .unzip();
+        let parts_ns = ns_since(t_parts);
+        let t_assemble = std::time::Instant::now();
+        let ranges = RangeAnalysis::from_parts_on(range_parts.clone(), pool);
+        let lr = LrAnalysis::from_parts_on(lr_parts.clone(), pool);
+        let assemble_ns = ns_since(t_assemble);
+
+        // -- 2. The old→new renaming maps for carried GR states. ------
+        let t_gr = std::time::Instant::now();
+        let locs = LocTable::build(m);
+        let old_gr = self.rbaa.gr();
+        let old_locs = old_gr.locs();
+        // Old symbol → owning old function, by binary search over the
+        // old block spans.
+        let old_owner = |s: Symbol| -> Option<usize> {
+            let i = self
+                .range_parts
+                .partition_point(|p| p.first_symbol <= s.index());
+            let p = &self.range_parts[i.checked_sub(1)?];
+            (s.index() < p.first_symbol + p.symbol_names.len() as u32).then_some(i - 1)
+        };
         let map_symbol = |s: Symbol| -> Option<Symbol> {
             let old = old_owner(s)?;
             let new = new_fid_of(old)?;
-            if is_edited(new) {
+            if edited[new] {
                 // The block was re-minted; old symbols have no
                 // guaranteed counterpart.
                 return None;
             }
-            let (old_first, _) = old_range_spans[old];
-            let (new_first, _) = new_range_spans[new];
-            Some(Symbol::new(s.index() - old_first + new_first))
+            let delta = range_parts[new].first_symbol;
+            Some(Symbol::new(
+                s.index() - self.range_parts[old].first_symbol + delta,
+            ))
         };
         let map_loc = |l: LocId| -> Option<LocId> {
             let site = old_locs.site(l);
             match (site.func, site.value) {
-                (None, None) => {
-                    // A global: globals are not editable, so the fresh
-                    // table assigns them the same leading ids.
-                    Some(l)
-                }
+                // A global: globals are not editable, so the fresh table
+                // assigns them the same leading ids.
+                (None, None) => Some(l),
                 (Some(fid), Some(v)) => {
                     let new = new_fid_of(fid.index())?;
-                    if is_edited(new) {
+                    if edited[new] {
                         return None;
                     }
                     locs.loc_of_value(FuncId::new(new), v)
@@ -1123,22 +1080,16 @@ impl AnalysisSession {
                 _ => None,
             }
         };
-        // The old GR canonical arena stays alive through the rebuild:
-        // clean components' cached states are *imported* out of it into
-        // the fresh canonical arena under `map_symbol`/`map_loc`.
-        let old_gr_arena = self.rbaa.gr().arena_arc();
 
         // -- 3. GR: re-solve each edit's slice, carry over the rest. ---
         // See the slice argument in `GrSolver`'s docs.
         let callers = gr::build_callers(m);
-        let graph = &self.callgraph;
-        let cond = Condensation::build(graph);
-        let new_components = graph.weak_components();
+        let cond = Condensation::build(&callgraph);
+        let new_components = callgraph.weak_components();
         let reads = gr::Reads::build(m, &callers);
-        let old_cond = &self.cond;
         let old_scc_of = |old: usize| -> Vec<usize> {
-            old_cond
-                .members(old_cond.scc_of(FuncId::new(old)))
+            self.cond
+                .members(self.cond.scc_of(FuncId::new(old)))
                 .iter()
                 .filter_map(|o| new_fid_of(o.index()))
                 .collect()
@@ -1149,13 +1100,13 @@ impl AnalysisSession {
             .map(FuncId::new)
             .filter(|&h| gr::has_ptr_formal(m, h))
             .collect();
-        for &i in edited {
+        for &i in &todo {
             let e = FuncId::new(i);
             seeds.push(e);
             seeds.extend_from_slice(reads.readers(e));
             let new_scc = cond.members(cond.scc_of(e));
             let old_scc = if i < survivors {
-                old_scc_of(old_fid_of(i))
+                old_scc_of(old_of[i])
             } else {
                 Vec::new()
             };
@@ -1168,37 +1119,41 @@ impl AnalysisSession {
                 seeds.extend(old_scc.into_iter().map(FuncId::new));
             }
         }
-        for &gone in removed {
+        for &gone in &removed {
             seeds.extend(old_scc_of(gone).into_iter().map(FuncId::new));
         }
         let in_slice = reads.slice(&cond, &seeds);
-        let old_trip = self.gr_trip;
         let gr_config = GrConfig {
             threads: config.threads,
             ..config.gr
         };
-        let mut solver = GrSolver::new(
-            m, &ranges, &locs, gr_config, &callers, &self.cfgs, cond, &self.pool,
-        );
+        let mut solver = GrSolver::new(m, &ranges, &locs, gr_config, &callers, &cfgs, cond, pool);
 
-        // Pair each new component with a clean cache when membership
-        // matches exactly and no member was edited (then no member is
-        // in the slice either).
-        let mut old_caches: Vec<Option<CompCache>> = std::mem::take(&mut self.components)
-            .into_iter()
-            .map(Some)
-            .collect();
-        let mut matched: Vec<Option<CompCache>> = new_components
+        // Pair each new component with a cached one when membership
+        // matches exactly (in the new id space) and no member was
+        // edited (then no member is in the slice either). Components
+        // are disjoint, so the smallest member keys the lookup.
+        let mut cached_at: Vec<Option<&CompCache>> = vec![None; nf];
+        for c in &self.components {
+            if let Some(first) = new_fid_of(c.members[0].index()) {
+                cached_at[first] = Some(c);
+            }
+        }
+        let matched: Vec<Option<&CompCache>> = new_components
             .iter()
             .map(|members| {
-                if members.iter().any(|f| is_edited(f.index())) {
+                if members.iter().any(|f| edited[f.index()]) {
                     return None;
                 }
-                let slot = old_caches
-                    .iter_mut()
-                    .find(|c| c.as_ref().is_some_and(|c| &c.members == members))?;
-                debug_assert!(members.iter().all(|f| !in_slice[f.index()]));
-                slot.take()
+                let cache = cached_at[members[0].index()]?;
+                let same = cache.members.len() == members.len()
+                    && cache
+                        .members
+                        .iter()
+                        .zip(members)
+                        .all(|(o, f)| new_fid_of(o.index()) == Some(f.index()));
+                debug_assert!(!same || members.iter().all(|f| !in_slice[f.index()]));
+                same.then_some(cache)
             })
             .collect();
 
@@ -1209,13 +1164,13 @@ impl AnalysisSession {
         // any sweeping. `slices[k]` is the restricted schedule of a
         // sliced component.
         let schedules = solver.component_schedules(&new_components);
-        let old_settle = |i: usize| self.gr_settle[old_fid_of(i)];
+        let old_settle = |i: usize| self.gr_settle[old_of[i]];
         let mut slices: Vec<Option<Vec<Vec<u32>>>> = vec![None; new_components.len()];
         let mut trip = false;
         let mut max_sweeps = 1u32;
         let mut ascent: Vec<(u32, bool)> = Vec::with_capacity(new_components.len());
         for (k, members) in new_components.iter().enumerate() {
-            let (sweeps, tripped) = match &matched[k] {
+            let (sweeps, tripped) = match matched[k] {
                 Some(cache) => (cache.sweeps, cache.tripped),
                 None => {
                     let mut carried = members.iter().filter(|f| !in_slice[f.index()]).peekable();
@@ -1253,14 +1208,12 @@ impl AnalysisSession {
         }
 
         // Phase 2: finish every component under the shared trip flag.
-        // `CLEAN` functions carry their old fixpoint over (imported
-        // into the fresh canonical arena below); everything else is
-        // read back from the solver. A cached fixpoint finished under
-        // the other flag is re-solved whole, from seeds.
-        const DIRTY: u8 = 0;
-        const CLEAN: u8 = 1;
-        let mut disposition: Vec<u8> = vec![DIRTY; nf];
-        let mut new_caches: Vec<CompCache> = Vec::with_capacity(new_components.len());
+        // `carried` functions keep their old fixpoint (imported into the
+        // fresh canonical arena below); everything else is read back
+        // from the solver. A cached fixpoint finished under the other
+        // flag is re-solved whole, from seeds.
+        let mut carried = vec![false; nf];
+        let mut components: Vec<CompCache> = Vec::with_capacity(new_components.len());
         for (k, members) in new_components.iter().enumerate() {
             let (sweeps, tripped) = ascent[k];
             let resolve_whole = |solver: &mut GrSolver| {
@@ -1271,22 +1224,26 @@ impl AnalysisSession {
                 debug_assert_eq!(redo, (sweeps, tripped), "ascent is context-free");
                 solver.finish_component(&schedules[k], members, trip);
             };
-            let mut carried = 0;
-            match (matched[k].take(), slices[k].take()) {
-                (Some(cache), _) if old_trip == trip => {
+            let mut kept = 0;
+            match (matched[k], slices[k].take()) {
+                (Some(_), _) if self.gr_trip == trip => {
                     for &f in members {
-                        disposition[f.index()] = CLEAN;
+                        carried[f.index()] = true;
                     }
-                    self.stats.gr_components_reused += 1;
-                    self.stats.gr_functions_carried += members.len();
-                    new_caches.push(cache);
+                    stats.gr_components_reused += 1;
+                    stats.gr_functions_carried += members.len();
+                    components.push(CompCache {
+                        members: members.clone(),
+                        sweeps,
+                        tripped,
+                    });
                     continue;
                 }
                 (Some(_), _) => {
                     resolve_whole(&mut solver);
-                    self.stats.gr_components_refinished += 1;
+                    stats.gr_components_refinished += 1;
                 }
-                (None, Some(levels)) if old_trip == trip => {
+                (None, Some(levels)) if self.gr_trip == trip => {
                     let solved: Vec<FuncId> = members
                         .iter()
                         .copied()
@@ -1294,125 +1251,84 @@ impl AnalysisSession {
                         .collect();
                     solver.finish_component(&levels, &solved, trip);
                     for &f in members.iter().filter(|f| !in_slice[f.index()]) {
-                        disposition[f.index()] = CLEAN;
-                        carried += 1;
+                        carried[f.index()] = true;
+                        kept += 1;
                     }
-                    self.stats.gr_components_solved += 1;
+                    stats.gr_components_solved += 1;
                 }
                 (None, Some(_)) => {
                     resolve_whole(&mut solver);
-                    self.stats.gr_components_solved += 1;
+                    stats.gr_components_solved += 1;
                 }
                 (None, None) => {
                     solver.finish_component(&schedules[k], members, trip);
-                    self.stats.gr_components_solved += 1;
+                    stats.gr_components_solved += 1;
                 }
             }
-            self.stats.gr_functions_carried += carried;
-            self.stats.gr_functions_resolved += members.len() - carried;
+            stats.gr_functions_carried += kept;
+            stats.gr_functions_resolved += members.len() - kept;
             if tripped {
                 for &f in members {
                     solver.settle[f.index()] = TRIPPED;
                 }
             }
-            new_caches.push(CompCache {
+            components.push(CompCache {
                 members: members.clone(),
                 sweeps,
                 tripped,
             });
         }
-        self.components = new_caches;
-        self.gr_trip = trip;
-        let settle: Vec<u32> = (0..nf)
-            .map(|i| match disposition[i] {
-                CLEAN => old_settle(i),
-                _ => solver.settle[i],
+        let gr_settle: Vec<u32> = (0..nf)
+            .map(|i| match carried[i] {
+                true => old_settle(i),
+                false => solver.settle[i],
             })
             .collect();
-        self.gr_settle = settle;
 
         // Assemble the per-function state vectors into one fresh
         // canonical arena, in function order — the exact import a
-        // scratch analysis performs, so the assembled ids match scratch
-        // id-for-id. Re-solved functions import out of the solver arena
-        // (identity renaming); carried ones import their cached states
-        // out of the *old* canonical arena under the edit's monotone
-        // symbol/location renaming — the arena-level replacement for
-        // the value-level state rebase.
+        // scratch analysis performs, so the assembled ids match
+        // scratch id-for-id. Re-solved functions import out of the
+        // solver arena; carried ones import their cached states out of
+        // the *old* canonical arena under the edit's monotone
+        // symbol/location renaming.
         let GrSolver {
             states: solver_states,
             arena: solver_arena,
             cond,
             ..
         } = solver;
-        self.cond = cond;
-        let mut gr_arena = ExprArena::new();
-        let mut dirty_map = ImportMap::default();
-        let mut clean_map = TryImportMap::default();
-        let rename_clean = |s: Symbol| map_symbol(s);
-        let mut solver_states = solver_states.into_iter().map(Some).collect::<Vec<_>>();
-        let mut gr_states: Vec<std::sync::Arc<Vec<PtrState>>> = Vec::with_capacity(nf);
-        for (i, &dispo) in disposition.iter().enumerate() {
-            if dispo == CLEAN {
-                let old = self.rbaa.gr().function_states(FuncId::new(old_fid_of(i)));
-                gr_states.push(std::sync::Arc::new(
-                    old.iter()
-                        .map(|s| match s {
-                            PtrState::Top => PtrState::Top,
-                            PtrState::Map(m) => PtrState::Map(
-                                m.iter()
-                                    .map(|(l, &r)| {
-                                        let loc = map_loc(*l)
-                                            .expect("carried states only mention unedited ids");
-                                        let r = gr_arena
-                                            .try_import_range(
-                                                &old_gr_arena,
-                                                r,
-                                                &rename_clean,
-                                                &mut clean_map,
-                                            )
-                                            .expect("carried states only mention unedited ids");
-                                        (loc, r)
-                                    })
-                                    .collect(),
-                            ),
-                        })
-                        .collect(),
-                ));
-            } else {
-                let states = solver_states[i].take().expect("dirty slot solved once");
-                gr_states.push(std::sync::Arc::new(
-                    states
-                        .iter()
-                        .map(|s| {
-                            gr::import_ptr_state(
-                                &mut gr_arena,
-                                &solver_arena,
-                                s,
-                                &|s| s,
-                                &mut dirty_map,
-                            )
-                        })
-                        .collect(),
-                ));
-            }
+        let finals: Vec<FinalStates> = solver_states
+            .into_iter()
+            .enumerate()
+            .map(|(i, states)| match carried[i] {
+                true => FinalStates::Carried(&old_gr.function_states(FuncId::new(old_of[i]))[..]),
+                false => FinalStates::Solved(states),
+            })
+            .collect();
+        let carry = Carry {
+            arena: old_gr.arena(),
+            symbol: &map_symbol,
+            loc: &map_loc,
+        };
+        let (gr_states, gr_arena) = gr::canonicalize_states(finals, &solver_arena, Some(&carry));
+        #[cfg(test)]
+        if REBUILD_FAULT.with(|f| f.replace(false)) {
+            panic!("injected rebuild fault");
         }
-
         let gr_ns = ns_since(t_gr);
         let t_matrices = std::time::Instant::now();
 
         // -- 4. Matrix invalidation: a carried function keeps its -----
         // matrix outright (verdicts are invariant under the monotone
         // renamings); a re-solved one keeps it iff its GR states came
-        // out unchanged up to the renaming. The
-        // comparison walks old and new arena nodes in lockstep
-        // (`range_eq_mapped`), materializing nothing; unmappable old
-        // symbols land on an out-of-range sentinel that can never
-        // compare equal. Demand mode holds no matrices, so there is
-        // nothing to invalidate — the demand cache is dropped wholesale
-        // below.
+        // out unchanged up to the renaming. The comparison walks old and
+        // new arena nodes in lockstep (`range_eq_mapped`), materializing
+        // nothing; unmappable old symbols land on an out-of-range
+        // sentinel that can never compare equal. Demand mode holds no
+        // matrices, so there is nothing to invalidate.
         let mut rebuild: Vec<usize> = Vec::new();
-        if self.config.query_mode == QueryMode::Matrix {
+        if config.query_mode == QueryMode::Matrix {
             let sentinel_symbol = Symbol::new(u32::MAX);
             let cmp_symbol = |s: Symbol| map_symbol(s).unwrap_or(sentinel_symbol);
             let state_eq = |old: &PtrState, new: &PtrState| -> bool {
@@ -1422,7 +1338,7 @@ impl AnalysisSession {
                         a.len() == b.len()
                             && a.iter().zip(b).all(|((la, ra), (lb, rb))| {
                                 map_loc(*la) == Some(*lb)
-                                    && old_gr_arena.range_eq_mapped(
+                                    && old_gr.arena().range_eq_mapped(
                                         *ra,
                                         &gr_arena,
                                         *rb,
@@ -1434,24 +1350,21 @@ impl AnalysisSession {
                 }
             };
             for i in 0..nf {
-                if is_edited(i) || i >= self.matrices.len() {
+                if edited[i] {
                     rebuild.push(i);
                     continue;
                 }
-                if disposition[i] != DIRTY {
-                    self.stats.matrices_reused += 1;
+                if carried[i] {
+                    stats.matrices_reused += 1;
                     continue;
                 }
-                let fid = FuncId::new(i);
-                let old_fid = FuncId::new(old_fid_of(i));
-                let same = self.module.function(fid).value_ids().all(|v| {
-                    state_eq(
-                        self.rbaa.gr().raw_state(old_fid, v),
-                        &gr_states[i][v.index()],
-                    )
-                });
+                let old_fid = FuncId::new(old_of[i]);
+                let same = m
+                    .function(FuncId::new(i))
+                    .value_ids()
+                    .all(|v| state_eq(old_gr.raw_state(old_fid, v), &gr_states[i][v.index()]));
                 if same {
-                    self.stats.matrices_reused += 1;
+                    stats.matrices_reused += 1;
                 } else {
                     rebuild.push(i);
                 }
@@ -1459,29 +1372,8 @@ impl AnalysisSession {
         }
 
         // -- 5. Assemble and rebuild the invalidated matrices. --------
-        gr_arena.absorb_op_stats(&solver_arena);
-        let gr = GrAnalysis::from_raw(locs, gr_states, std::sync::Arc::new(gr_arena), max_sweeps);
-        let fresh = RbaaAnalysis::from_pieces(ranges, gr, lr);
-        // The superseded analysis is dropped here, its old GR arena
-        // with it; timed on its own so the edit decomposes honestly.
-        let t_teardown = std::time::Instant::now();
-        drop((std::mem::replace(&mut self.rbaa, fresh), old_gr_arena));
-        let teardown_ns = ns_since(t_teardown);
-        // Any grown demand cache indexes the superseded analysis.
-        *demand_lock(&self.demand) = None;
-        self.phases = PhaseStats {
-            parts_ns,
-            assemble_ns,
-            gr_ns,
-            teardown_ns,
-            ..PhaseStats::default()
-        };
-        if self.config.query_mode == QueryMode::Demand {
-            // No matrices in demand mode — queries regrow the cache.
-            return;
-        }
-        let rbaa = &self.rbaa;
-        let m = &self.module;
+        let gr = GrAnalysis::from_raw(locs, gr_states, gr_arena, max_sweeps);
+        let rbaa = RbaaAnalysis::from_pieces(ranges, gr, lr);
         // One invalidated matrix gets the whole worker budget for its
         // signature triangle (`run_indexed` of one job runs inline, so
         // the pool is free for the tiles); several share the pool
@@ -1489,37 +1381,52 @@ impl AnalysisSession {
         // A full rebuild — construction, or a whole-module edit — runs
         // the module sweep, whose chunks reuse scratch overlays (and
         // their accumulated comparison memos) across functions.
-        let single = rebuild.len() == 1;
-        let pool = &self.pool;
-        let sweep =
-            rebuild.len() == m.num_functions() && rebuild.iter().enumerate().all(|(k, &i)| k == i);
-        let fresh = if sweep {
-            AliasMatrix::build_all_on(rbaa, m, pool)
+        let mut fresh = if rebuild.len() == 1 {
+            vec![AliasMatrix::build_with_on(
+                &rbaa,
+                m,
+                FuncId::new(rebuild[0]),
+                pool,
+            )]
+        } else if rebuild.len() == nf {
+            AliasMatrix::build_all_on(&rbaa, m, pool)
         } else {
             pool.run_indexed(rebuild.len(), |k| {
-                let fid = FuncId::new(rebuild[k]);
-                if single {
-                    AliasMatrix::build_with_on(rbaa, m, fid, pool)
-                } else {
-                    AliasMatrix::build(rbaa, m, fid)
-                }
+                AliasMatrix::build(&rbaa, m, FuncId::new(rebuild[k]))
             })
-        };
-        self.stats.matrices_rebuilt += rebuild.len();
-        let mut slots: Vec<Option<std::sync::Arc<AliasMatrix>>> =
-            std::mem::take(&mut self.matrices)
-                .into_iter()
-                .map(Some)
-                .collect();
-        slots.resize_with(nf, || None);
-        for (i, mx) in rebuild.into_iter().zip(fresh) {
-            slots[i] = Some(std::sync::Arc::new(mx));
         }
-        self.matrices = slots
-            .into_iter()
-            .map(|s| s.expect("every function has a matrix"))
-            .collect();
-        self.phases.matrices_ns = ns_since(t_matrices).saturating_sub(teardown_ns);
+        .into_iter();
+        stats.matrices_rebuilt += rebuild.len();
+        let matrices = match config.query_mode {
+            QueryMode::Demand => Vec::new(),
+            QueryMode::Matrix => (0..nf)
+                .map(|i| match rebuild.binary_search(&i) {
+                    Ok(_) => Arc::new(fresh.next().expect("one matrix per rebuilt function")),
+                    Err(_) => Arc::clone(&self.matrices[old_of[i]]),
+                })
+                .collect(),
+        };
+        let phases = PhaseStats {
+            parts_ns,
+            assemble_ns,
+            gr_ns,
+            matrices_ns: ns_since(t_matrices),
+            ..PhaseStats::default()
+        };
+        let caches = Caches {
+            module,
+            range_parts,
+            lr_parts,
+            cfgs,
+            callgraph,
+            cond,
+            components,
+            gr_trip: trip,
+            gr_settle,
+            rbaa,
+            matrices,
+        };
+        (caches, phases)
     }
 }
 
@@ -1537,38 +1444,39 @@ impl AnalysisSession {
     /// order), so snapshots can be content-addressed.
     pub fn save<W: std::io::Write>(&self, w: &mut W) -> Result<(), PersistError> {
         persist::write_header(w, &persist::MAGIC)?;
+        let c = &self.caches;
 
         let mut enc = persist::Enc::new();
         persist::encode_config(&mut enc, &self.config);
         enc.finish_section(w, persist::tag::CONFIG)?;
 
         let mut enc = persist::Enc::new();
-        persist::encode_module(&mut enc, &self.module, &self.callgraph);
+        persist::encode_module(&mut enc, &c.module, &c.callgraph);
         enc.finish_section(w, persist::tag::MODULE)?;
 
         // Per-function items are length-framed (format v2) so the
         // loader can split each section into independent slices and
         // decode them on its worker pool.
         let mut enc = persist::Enc::new();
-        enc.usize(self.range_parts.len());
-        for p in &self.range_parts {
+        enc.usize(c.range_parts.len());
+        for p in &c.range_parts {
             enc.nested(|e| persist::encode_range_part(e, p));
         }
         enc.finish_section(w, persist::tag::RANGE_PARTS)?;
 
         let mut enc = persist::Enc::new();
-        enc.usize(self.lr_parts.len());
-        for p in &self.lr_parts {
+        enc.usize(c.lr_parts.len());
+        for p in &c.lr_parts {
             enc.nested(|e| persist::encode_lr_part(e, p));
         }
         enc.finish_section(w, persist::tag::LR_PARTS)?;
 
         let mut enc = persist::Enc::new();
-        let gr = self.rbaa.gr();
+        let gr = c.rbaa.gr();
         persist::encode_arena(&mut enc, gr.arena());
         enc.u32(gr.ascending_sweeps());
-        enc.usize(self.module.num_functions());
-        for f in self.module.func_ids() {
+        enc.usize(c.module.num_functions());
+        for f in c.module.func_ids() {
             let states = gr.function_states(f);
             enc.nested(|e| {
                 e.usize(states.len());
@@ -1580,27 +1488,27 @@ impl AnalysisSession {
         enc.finish_section(w, persist::tag::GR)?;
 
         let mut enc = persist::Enc::new();
-        enc.usize(self.components.len());
-        for c in &self.components {
-            enc.usize(c.members.len());
-            for &f in &c.members {
+        enc.usize(c.components.len());
+        for comp in &c.components {
+            enc.usize(comp.members.len());
+            for &f in &comp.members {
                 enc.u32(f.index() as u32);
             }
-            enc.u32(c.sweeps);
-            enc.bool(c.tripped);
+            enc.u32(comp.sweeps);
+            enc.bool(comp.tripped);
         }
         // Format v3: the module-wide trip flag and, per function, the
         // last changing ascending sweep — what keeps the first edit
         // after a load sliced.
-        enc.bool(self.gr_trip);
-        for &settle in &self.gr_settle {
+        enc.bool(c.gr_trip);
+        for &settle in &c.gr_settle {
             enc.u32(settle);
         }
         enc.finish_section(w, persist::tag::COMPONENTS)?;
 
         let mut enc = persist::Enc::new();
-        enc.usize(self.matrices.len());
-        for mx in &self.matrices {
+        enc.usize(c.matrices.len());
+        for mx in &c.matrices {
             enc.nested(|e| mx.encode(e));
         }
         enc.finish_section(w, persist::tag::MATRICES)?;
@@ -1871,13 +1779,11 @@ impl AnalysisSession {
         let buf = persist::expect_section(r, persist::tag::END)?;
         persist::Dec::new(&buf).finish()?;
 
-        let cfgs = gr::build_cfgs(&module);
-        let session = AnalysisSession {
+        let caches = Caches {
+            cfgs: gr::build_cfgs(&module),
             module,
-            config,
             range_parts,
             lr_parts,
-            cfgs,
             cond: Condensation::build(&callgraph),
             callgraph,
             components,
@@ -1885,6 +1791,10 @@ impl AnalysisSession {
             gr_settle,
             rbaa,
             matrices,
+        };
+        let session = AnalysisSession {
+            config,
+            caches,
             demand: Mutex::new(demand),
             pool,
             phases: PhaseStats {
@@ -1899,11 +1809,12 @@ impl AnalysisSession {
         Ok(session)
     }
 
-    /// Compares the loaded analysis against a scratch
-    /// [`analyze_parallel`](crate::analyze_parallel) of the same module
-    /// — the cross-arena `eq_mapped` lockstep the incremental rails
-    /// use, under the identity symbol renaming (loaded and scratch
-    /// analyses assign the same symbol-id blocks by construction).
+    /// Compares the loaded analysis against a scratch build of the same
+    /// module on the session's pool (the one pipeline, without
+    /// matrices) — the cross-arena `eq_mapped` lockstep the incremental
+    /// rails use, under the identity symbol renaming (loaded and
+    /// scratch analyses assign the same symbol-id blocks by
+    /// construction).
     ///
     /// [`AnalysisSession::load`] runs this automatically when the
     /// snapshot's [`AnalysisConfig::load_verify`] flag is set; calling
@@ -1915,29 +1826,40 @@ impl AnalysisSession {
     /// [`PersistError::VerifyFailed`] naming the first `(function,
     /// value)` whose bootstrap range, GR state or LR state diverges.
     pub fn verify_against_scratch(&self) -> Result<(), PersistError> {
-        let scratch = crate::analyze_parallel(&self.module, self.config);
+        let config = AnalysisConfig {
+            query_mode: QueryMode::Demand,
+            ..self.config
+        };
+        let module = &self.caches.module;
+        let (scratch, _) = scratch(
+            module.clone(),
+            config,
+            &self.pool,
+            &mut SessionStats::default(),
+        );
+        let (rbaa, scratch) = (&self.caches.rbaa, &scratch.rbaa);
         let ident = |s: Symbol| s;
         let fail = |f: FuncId, v: ValueId, what: &str| {
             Err(PersistError::VerifyFailed(format!(
                 "{what} of {f}:{v} differs from scratch re-analysis"
             )))
         };
-        for f in self.module.func_ids() {
-            for v in self.module.function(f).value_ids() {
-                let (a, b) = (self.rbaa.ranges(), scratch.ranges());
+        for f in module.func_ids() {
+            for v in module.function(f).value_ids() {
+                let (a, b) = (rbaa.ranges(), scratch.ranges());
                 if !a
                     .arena()
                     .range_eq_mapped(a.range(f, v), b.arena(), b.range(f, v), &ident)
                 {
                     return fail(f, v, "bootstrap range");
                 }
-                let same_gr = match (self.rbaa.gr().raw_state(f, v), scratch.gr().raw_state(f, v)) {
+                let same_gr = match (rbaa.gr().raw_state(f, v), scratch.gr().raw_state(f, v)) {
                     (PtrState::Top, PtrState::Top) => true,
                     (PtrState::Map(a), PtrState::Map(b)) => {
                         a.len() == b.len()
                             && a.iter().zip(b).all(|((la, ra), (lb, rb))| {
                                 la == lb
-                                    && self.rbaa.gr().arena().range_eq_mapped(
+                                    && rbaa.gr().arena().range_eq_mapped(
                                         *ra,
                                         scratch.gr().arena(),
                                         *rb,
@@ -1950,13 +1872,13 @@ impl AnalysisSession {
                 if !same_gr {
                     return fail(f, v, "GR state");
                 }
-                let same_lr = match (self.rbaa.lr().raw_state(f, v), scratch.lr().raw_state(f, v)) {
+                let same_lr = match (rbaa.lr().raw_state(f, v), scratch.lr().raw_state(f, v)) {
                     (None, None) => true,
                     (Some(a), Some(b)) => {
                         a.base == b.base
                             && a.block == b.block
                             && a.sigmas == b.sigmas
-                            && self.rbaa.lr().arena().range_eq_mapped(
+                            && rbaa.lr().arena().range_eq_mapped(
                                 a.range,
                                 scratch.lr().arena(),
                                 b.range,
@@ -1987,8 +1909,8 @@ impl AliasAnalysis for AnalysisSession {
 impl fmt::Debug for AnalysisSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AnalysisSession")
-            .field("functions", &self.module.num_functions())
-            .field("components", &self.components.len())
+            .field("functions", &self.caches.module.num_functions())
+            .field("components", &self.caches.components.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -2006,7 +1928,7 @@ mod tests {
     /// session's current module.
     fn assert_matches_scratch(session: &AnalysisSession) {
         let m = session.module();
-        let scratch = crate::analyze_parallel(m, session.config());
+        let scratch = RbaaAnalysis::analyze_with(m, session.config());
         let rbaa = session.analysis();
         assert!(
             rbaa.symbols().iter().eq(scratch.symbols().iter()),
@@ -2098,7 +2020,8 @@ mod tests {
     fn single_function_edit_matches_scratch_and_reuses_parts() {
         let m = chain_module(4, false);
         let mut session =
-            AnalysisSession::with_config(m, DriverConfig::with_threads(2)).expect("verifies");
+            AnalysisSession::with_config(m, AnalysisConfig::builder().threads(2).build())
+                .expect("verifies");
         assert_matches_scratch(&session);
         // Change f1's offset: call edges unchanged, dataflow changed.
         session
@@ -2112,43 +2035,6 @@ mod tests {
             stats.parts_reused >= 4,
             "the other functions' parts carry over: {stats:?}"
         );
-    }
-
-    /// The pre-`AnalysisConfig` constructors stay alive (deprecated
-    /// shims) and route to the exact same state as the builder path.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder_path() {
-        let m = chain_module(3, false);
-        let via_new = AnalysisSession::new(m.clone()).expect("verifies");
-        assert_eq!(via_new.config(), AnalysisConfig::default());
-
-        let driver = DriverConfig::with_threads(2);
-        let via_mode =
-            AnalysisSession::with_mode(m.clone(), driver, QueryMode::Demand).expect("verifies");
-        let config = AnalysisConfig::builder()
-            .threads(2)
-            .query_mode(QueryMode::Demand)
-            .build();
-        // `gr.threads` is derived: the driver overrides it with its own
-        // thread count at analysis time, so the shim may carry the
-        // default while the builder keeps the knobs in lockstep.
-        let mut shim_config = via_mode.config();
-        shim_config.gr.threads = config.gr.threads;
-        assert_eq!(shim_config, config);
-        let via_builder = AnalysisSession::with_config(m.clone(), config).expect("verifies");
-        for f in m.func_ids() {
-            let ptrs = pointer_values(&m, f);
-            for &p in &ptrs {
-                for &q in &ptrs {
-                    assert_eq!(
-                        via_mode.alias_with_test(f, p, q),
-                        via_builder.alias_with_test(f, p, q),
-                        "shim and builder sessions diverged at {f}: {p} vs {q}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -2382,16 +2268,7 @@ mod tests {
         // Widening off + a small cap: the ring's unbounded churn trips
         // it (so scratch forces g's φ to ⊤ too), while the *cut* chain
         // of the later edit converges well within it.
-        let config = DriverConfig {
-            threads: 1,
-            gr: GrConfig {
-                widening: false,
-                max_ascending_sweeps: 8,
-                ..GrConfig::default()
-            },
-            ..DriverConfig::with_threads(1)
-        };
-        let mut session = AnalysisSession::with_config(m, config).expect("verifies");
+        let mut session = AnalysisSession::with_config(m, capped_config()).expect("verifies");
         assert_matches_scratch(&session);
 
         // Cut the ring: nothing trips any more; g (untouched) must drop
@@ -2440,16 +2317,15 @@ mod tests {
     }
 
     /// Widening off and a small cap, so a ring of void links trips it.
-    fn capped_config() -> DriverConfig {
-        DriverConfig {
-            threads: 1,
-            gr: GrConfig {
+    fn capped_config() -> AnalysisConfig {
+        AnalysisConfig::builder()
+            .gr(GrConfig {
                 widening: false,
                 max_ascending_sweeps: 8,
                 ..GrConfig::default()
-            },
-            ..DriverConfig::with_threads(1)
-        }
+            })
+            .threads(1)
+            .build()
     }
 
     /// The slice's fallbacks around the ascending cap, in one hub
@@ -2862,6 +2738,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Commit by swap: a rebuild that panics leaves the session exactly
+    /// as it was — module, analysis (id for id), counters and snapshot
+    /// bytes — and the next valid edit still matches scratch.
+    #[test]
+    fn panicking_rebuild_leaves_the_session_unchanged() {
+        let config = AnalysisConfig::builder().threads(2).build();
+        let mut session = AnalysisSession::with_config(chain_module(4, false), config).unwrap();
+        session
+            .replace_function(FuncId::new(1), chain_body("f1", 1, 4, false, 3))
+            .unwrap();
+        let save = |s: &AnalysisSession| {
+            let mut bytes = Vec::new();
+            s.save(&mut bytes).expect("saves");
+            bytes
+        };
+        let (module, stats, bytes) = (session.module().clone(), *session.stats(), save(&session));
+        let analysis = session.analysis().clone();
+
+        REBUILD_FAULT.with(|f| f.set(true));
+        let mut leaf = FunctionBuilder::new("leaf", &[], None);
+        leaf.ret(None);
+        let edit = std::panic::AssertUnwindSafe(|| {
+            session.apply_edits(vec![
+                SessionEdit::Replace {
+                    func: FuncId::new(2),
+                    body: chain_body("f2", 2, 4, false, 5),
+                },
+                SessionEdit::Add {
+                    body: leaf.finish(),
+                },
+            ])
+        });
+        assert!(std::panic::catch_unwind(edit).is_err(), "the fault fired");
+
+        assert_eq!(session.module(), &module);
+        assert_eq!(session.stats(), &stats);
+        assert_eq!(save(&session), bytes);
+        let rbaa = session.analysis();
+        assert!(rbaa.symbols().iter().eq(analysis.symbols().iter()));
+        for f in module.func_ids() {
+            for v in module.function(f).value_ids() {
+                assert_eq!(rbaa.gr().raw_state(f, v), analysis.gr().raw_state(f, v));
+                assert_eq!(rbaa.ranges().range(f, v), analysis.ranges().range(f, v));
+                assert_eq!(rbaa.lr().state(f, v), analysis.lr().state(f, v));
+            }
+        }
+        assert_matches_scratch(&session);
+
+        session
+            .replace_function(FuncId::new(2), chain_body("f2", 2, 4, false, 5))
+            .expect("valid edit");
+        assert_eq!(session.stats().edits, stats.edits + 1);
+        assert_matches_scratch(&session);
     }
 
     /// Damaged streams fail structurally, never panic: every

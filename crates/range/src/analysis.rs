@@ -67,12 +67,13 @@ impl FunctionRanges {
 /// in the part's own arena, plus the kernel-symbol names the function
 /// minted, in minting order.
 ///
-/// Parts exist so that a batch driver can analyze functions on worker
-/// threads: symbol identities are fixed *before* the analysis runs (a
-/// function's first symbol id is the sum of the [`symbol_budget`]s of
-/// the functions before it), and each part owns its arena, so workers
-/// never share an allocator and the assembled result is byte-identical
-/// to the serial one no matter how the work was scheduled.
+/// Parts exist so that functions can be analyzed on worker threads: a
+/// function's first symbol id is the total symbol count of the
+/// functions before it (fixed up front from [`symbol_budget`]s, or
+/// afterwards by [`RangePart::rebase`]), and each part owns its arena,
+/// so workers never share an allocator and the assembled result is
+/// byte-identical to the serial one no matter how the work was
+/// scheduled.
 #[derive(Debug, Clone)]
 pub struct RangePart {
     /// The part's private arena (shared by reference with an
@@ -83,8 +84,9 @@ pub struct RangePart {
     pub ranges: Arc<Vec<RangeId>>,
     /// The `first_symbol` this part was analyzed with.
     pub first_symbol: u32,
-    /// Names of the symbols minted, starting at `first_symbol`.
-    pub symbol_names: Vec<String>,
+    /// Names of the symbols minted, starting at `first_symbol` (shared,
+    /// like the arena, so cloning a part copies no strings).
+    pub symbol_names: Arc<[String]>,
 }
 
 impl RangePart {
@@ -153,7 +155,7 @@ impl RangeAnalysis {
     /// function order, importing every part arena into one module
     /// arena. Each part must have been produced with `first_symbol`
     /// equal to the total symbol count of the parts before it (as
-    /// [`RangeAnalysis::analyze_with`] and the batch driver do).
+    /// [`RangeAnalysis::analyze_with`] and the pooled pipeline do).
     ///
     /// The import walks the final range *structures* in function/value
     /// order, so the module arena — and every [`RangeId`] this analysis
@@ -174,7 +176,7 @@ impl RangeAnalysis {
                 symbols.len(),
                 "range parts assembled out of order or with wrong bases"
             );
-            for name in &part.symbol_names {
+            for name in part.symbol_names.iter() {
                 symbols.fresh(name);
             }
             let mut map = ImportMap::default();
@@ -217,7 +219,7 @@ impl RangeAnalysis {
                 symbols.len(),
                 "range parts assembled out of order or with wrong bases"
             );
-            for name in &part.symbol_names {
+            for name in part.symbol_names.iter() {
                 symbols.fresh(name);
             }
         }
@@ -284,9 +286,9 @@ impl RangeAnalysis {
 
 /// The number of kernel symbols [`analyze_function_part`] will mint for
 /// `f` — one per integer parameter, call result, and (under
-/// `loads_as_symbols`) load. Mirrors the solver's seeding exactly; the
-/// batch driver uses it to assign each function a disjoint, dense
-/// symbol-id block before dispatching work to threads.
+/// `loads_as_symbols`) load. Mirrors the solver's seeding exactly, so a
+/// caller can assign each function a disjoint, dense symbol-id block
+/// before dispatching work to threads.
 pub fn symbol_budget(f: &Function, config: RangeConfig) -> usize {
     f.value_ids()
         .filter(|&v| {
@@ -304,7 +306,7 @@ pub fn symbol_budget(f: &Function, config: RangeConfig) -> usize {
 /// Analyzes one function, minting kernel symbols `first_symbol,
 /// first_symbol + 1, …` (exactly [`symbol_budget`] of them) and
 /// interning every range into a fresh part arena. Pure and
-/// thread-safe: the batch driver runs one call per worker.
+/// thread-safe: the pooled pipeline runs one call per worker.
 pub fn analyze_function_part(f: &Function, config: RangeConfig, first_symbol: u32) -> RangePart {
     let mut minter = Minter {
         base: first_symbol,
@@ -328,7 +330,7 @@ pub fn analyze_function_part(f: &Function, config: RangeConfig, first_symbol: u3
         arena: Arc::new(solver.arena),
         ranges: Arc::new(solver.ranges),
         first_symbol,
-        symbol_names: minter.names,
+        symbol_names: minter.names.into(),
     }
 }
 

@@ -1,21 +1,13 @@
 //! A hand-rolled thread pool for every parallel phase of the pipeline.
 //!
 //! The workspace is dependency-free (no rayon), so fan-out is built
-//! directly on [`std::thread`]. Two layers:
-//!
-//! * [`WorkerPool`] — a **persistent** pool: workers are spawned once
-//!   (per driver run / session / service tenant) and reused across the
-//!   budget scan, the per-function part analyses, every GR wave level,
-//!   the matrix tiles and the snapshot load. Dispatching a batch onto
-//!   live workers is a condvar wake, not `threads` thread spawns — the
-//!   difference is the dominant constant factor on deep wave schedules,
-//!   which dispatch thousands of tiny batches.
-//! * [`run_indexed`]/[`run_map`] — free-function shims with the
-//!   pre-pool signature. Each call builds a short-lived
-//!   [`WorkerPool::forced`] with exactly the requested width, so
-//!   one-shot callers and the claiming-discipline tests keep working
-//!   unchanged (including on machines with fewer cores than the
-//!   requested width). Hot paths should hold a [`WorkerPool`] instead.
+//! directly on [`std::thread`]: a **persistent** [`WorkerPool`] whose
+//! workers are spawned once (per session / service tenant) and reused
+//! across the per-function part analyses, every GR wave level, the
+//! matrix tiles and the snapshot load. Dispatching a batch onto live
+//! workers is a condvar wake, not `threads` thread spawns — the
+//! difference is the dominant constant factor on deep wave schedules,
+//! which dispatch thousands of tiny batches.
 //!
 //! Jobs are indices `0..n`; workers claim them from a shared atomic
 //! counter and results are reassembled in index order, so the output is
@@ -69,10 +61,9 @@ struct Dispatch {
 
 /// A persistent worker pool.
 ///
-/// `run_indexed`/`run_map` have the same claiming discipline as the
-/// free functions — dynamic claiming from an atomic counter, results
-/// reassembled in index order — so results never depend on thread
-/// timing or on the pool's width. Dropping the pool signals shutdown
+/// `run_indexed`/`run_map` claim jobs dynamically from an atomic
+/// counter and reassemble results in index order, so results never
+/// depend on thread timing or on the pool's width. Dropping the pool signals shutdown
 /// and joins every worker.
 ///
 /// The pool's width is fixed at construction: [`WorkerPool::new`] caps
@@ -309,35 +300,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs `f(0), f(1), …, f(n-1)` across `threads` workers and returns
-/// the results in index order — a one-shot [`WorkerPool::forced`] of
-/// exactly that width. Hot paths should hold a [`WorkerPool`] and call
-/// [`WorkerPool::run_indexed`] instead.
-pub fn run_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n <= 1 || threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    WorkerPool::forced(threads.min(n)).run_indexed(n, f)
-}
-
-/// Like [`run_indexed`], but each job consumes an owned input item —
-/// the one-shot counterpart of [`WorkerPool::run_map`].
-pub fn run_map<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(I) -> T + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    WorkerPool::forced(threads.min(items.len())).run_map(items, f)
-}
-
 /// Splits `0..total` into at most `pieces` contiguous, non-empty
 /// `(start, end)` ranges of near-equal length, in order.
 ///
@@ -367,23 +329,26 @@ mod tests {
 
     #[test]
     fn results_in_index_order() {
-        for threads in [1, 2, 4, 7] {
-            let out = run_indexed(23, threads, |i| i * i);
+        for threads in [1, 2, 4, 7, 9] {
+            let pool = WorkerPool::forced(threads);
+            assert_eq!(pool.threads(), threads);
+            let out = pool.run_indexed(23, |i| i * i);
             assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(1, 4, |i| i + 1), vec![1]);
+        let pool = WorkerPool::forced(4);
+        assert_eq!(pool.run_indexed(0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.run_indexed(1, |i| i + 1), vec![1]);
     }
 
     #[test]
     fn uneven_jobs_balance() {
         // Jobs of very different sizes still all complete and land in
         // order.
-        let out = run_indexed(16, 4, |i| {
+        let out = WorkerPool::forced(4).run_indexed(16, |i| {
             let mut acc = 0u64;
             for k in 0..(i as u64 * 10_000) {
                 acc = acc.wrapping_add(k);
@@ -398,14 +363,15 @@ mod tests {
     #[test]
     fn run_map_moves_items_in_order() {
         for threads in [1, 2, 4] {
+            let pool = WorkerPool::forced(threads);
             let items: Vec<String> = (0..17).map(|i| format!("job{i}")).collect();
-            let out = run_map(items, threads, |s| s + "!");
+            let out = pool.run_map(items, |s| s + "!");
             assert_eq!(out.len(), 17);
             for (i, s) in out.iter().enumerate() {
                 assert_eq!(s, &format!("job{i}!"));
             }
+            assert_eq!(pool.run_map(Vec::<u8>::new(), |x| x), Vec::<u8>::new());
         }
-        assert_eq!(run_map(Vec::<u8>::new(), 4, |x| x), Vec::<u8>::new());
     }
 
     #[test]
@@ -428,18 +394,6 @@ mod tests {
             assert_eq!(out, (0..n).map(|i| i * round).collect::<Vec<_>>());
             let mapped = pool.run_map((0..n).collect::<Vec<_>>(), |i| i + round);
             assert_eq!(mapped, (0..n).map(|i| i + round).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn pool_matches_free_functions() {
-        for width in [1, 2, 4, 9] {
-            let pool = WorkerPool::forced(width);
-            assert_eq!(pool.threads(), width);
-            assert_eq!(
-                pool.run_indexed(31, |i| 3 * i),
-                run_indexed(31, width, |i| 3 * i)
-            );
         }
     }
 

@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use sra_baselines::{BasicAlias, ScevAlias};
 use sra_core::{
-    analyze_parallel, analyze_parallel_on, pool, AliasAnalysis, AliasResult, AnalysisConfig,
-    BatchAnalysis, MatrixBytes, PhaseStats, RbaaAnalysis, WhichTest, WorkerPool,
+    pool, AliasAnalysis, AliasResult, AnalysisConfig, BatchAnalysis, MatrixBytes, PhaseStats,
+    RbaaAnalysis, WhichTest, WorkerPool,
 };
 use sra_ir::{FuncId, Module};
 use sra_symbolic::ArenaStats;
@@ -59,8 +59,8 @@ pub struct Metrics {
     /// Footprint of the cached alias matrices: pair count plus packed
     /// (2-bit cells) vs byte-per-cell sizes.
     pub matrix_bytes: MatrixBytes,
-    /// Per-phase wall-clock attribution of the pipeline run (budget
-    /// scan, part analysis, arena assembly, GR, matrices) — what the
+    /// Per-phase wall-clock attribution of the pipeline run (part
+    /// analysis, arena assembly, GR, matrices) — what the
     /// trajectory benchmark reports alongside the end-to-end times.
     pub phases: PhaseStats,
 }
@@ -129,17 +129,12 @@ pub fn evaluate(m: &Module) -> Metrics {
 
 /// [`evaluate`] with an explicit worker count (`1` = fully serial).
 pub fn evaluate_with(m: &Module, threads: usize) -> Metrics {
-    // One persistent pool serves the pipeline, the matrix builds and
-    // the metric rows. Figure 15 times only the paper's pipeline
-    // (bootstrap + GR + LR), not query evaluation — matrices are built
-    // outside the clock.
+    // Figure 15 times only the paper's pipeline (bootstrap + GR + LR),
+    // not query evaluation — the matrix phase stays off the clock.
+    let batch = BatchAnalysis::analyze_with(m, AnalysisConfig::builder().threads(threads).build());
+    let phases = *batch.phases();
+    let analysis_time = Duration::from_nanos(phases.parts_ns + phases.assemble_ns + phases.gr_ns);
     let wp = WorkerPool::new(threads);
-    let started = Instant::now();
-    let (rbaa, mut phases) =
-        analyze_parallel_on(m, AnalysisConfig::builder().threads(threads).build(), &wp);
-    let analysis_time = started.elapsed();
-    let batch = BatchAnalysis::from_rbaa_on(rbaa, m, &wp);
-    phases.merge(batch.phases());
     let basic = BasicAlias::analyze(m);
     let scev = ScevAlias::analyze(m);
 
@@ -226,14 +221,6 @@ pub fn time_analysis(m: &Module) -> Duration {
     let started = Instant::now();
     let rbaa = RbaaAnalysis::analyze(m);
     // Keep the result alive so the work is not optimized away.
-    std::hint::black_box(&rbaa);
-    started.elapsed()
-}
-
-/// [`time_analysis`] through the batch driver with `threads` workers.
-pub fn time_analysis_parallel(m: &Module, threads: usize) -> Duration {
-    let started = Instant::now();
-    let rbaa = analyze_parallel(m, AnalysisConfig::builder().threads(threads).build());
     std::hint::black_box(&rbaa);
     started.elapsed()
 }

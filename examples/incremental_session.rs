@@ -6,7 +6,7 @@
 //! cargo run --release --example incremental_session [insts] [edits]
 //! ```
 
-use sra::core::{analyze_parallel, AnalysisConfig, AnalysisSession};
+use sra::core::{AnalysisConfig, AnalysisSession, BatchAnalysis};
 use sra::workloads::{edits, scaling};
 
 fn main() {
@@ -39,8 +39,9 @@ fn main() {
 
         // What a batch system would do instead: full re-analysis.
         let t = std::time::Instant::now();
-        let scratch = analyze_parallel(session.module(), config);
+        let scratch = BatchAnalysis::analyze_with(session.module(), config);
         scratch_time += t.elapsed();
+        let scratch = scratch.rbaa();
 
         // The session's contract: byte-identical states after every edit.
         let f = session

@@ -9,7 +9,7 @@
 //! cargo run --release --example source_session [insts] [edits]
 //! ```
 
-use sra::core::{analyze_parallel, AliasService, AnalysisConfig, AnalysisSession};
+use sra::core::{AliasService, AnalysisConfig, AnalysisSession, BatchAnalysis};
 use sra::lang::SourceProgram;
 use sra::workloads::source_edits;
 
@@ -56,8 +56,9 @@ fn main() {
         // text and re-analyze from scratch.
         let t = std::time::Instant::now();
         let module = sra::lang::compile(&step.text).expect("stream text compiles");
-        let scratch = analyze_parallel(&module, config);
+        let scratch = BatchAnalysis::analyze_with(&module, config);
         scratch_time += t.elapsed();
+        let scratch = scratch.rbaa();
 
         // The contract: byte-identical results after every edit.
         assert_eq!(session.module(), program.module());

@@ -6,18 +6,20 @@
 //! `from_parts` hands out, across arbitrary modules and pool widths,
 //! so snapshots, matrices and session deltas built on either path
 //! interoperate freely. The end-to-end leg pins the same property for
-//! the whole driver (`analyze_parallel_on`), including the GR final
-//! states re-canonicalized on the pool.
+//! the one scratch pipeline (`BatchAnalysis::analyze_on`, the session
+//! rebuild with every function dirty), including the GR wave solve and
+//! its re-canonicalized final states — at width N against width 1, and
+//! against the serial layer-by-layer reference.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
-use sra::core::{analyze_parallel_on, lr, AnalysisConfig, LrAnalysis, LrPart, WorkerPool};
+use sra::core::{lr, AnalysisConfig, BatchAnalysis, LrAnalysis, LrPart, RbaaAnalysis, WorkerPool};
 use sra::ir::{FuncId, Module};
 use sra::range::{RangeAnalysis, RangePart};
 
-/// Builds the per-function parts exactly the way the batch driver
-/// does: a serial budget scan assigning disjoint dense symbol blocks,
-/// then one part per function. Serial on purpose — the property under
+/// Builds the per-function parts at their final symbol blocks: a serial
+/// budget scan assigning disjoint dense blocks, then one part per
+/// function. Serial on purpose — the property under
 /// test is the *assembly*, so the inputs must be identical on both
 /// sides.
 fn build_parts(m: &Module, config: AnalysisConfig) -> (Vec<RangePart>, Vec<LrPart>) {
@@ -95,8 +97,8 @@ fn assert_lr_identical(
 }
 
 /// The property: for one module and one forced pool width, parallel
-/// part assembly and the full pooled driver agree id-for-id with their
-/// serial references.
+/// part assembly and the one pooled pipeline agree id-for-id with
+/// their serial references.
 fn assert_assembly_identical(m: &Module, threads: usize) -> Result<(), TestCaseError> {
     let config = AnalysisConfig::builder().threads(threads).build();
     let pool = WorkerPool::forced(threads);
@@ -112,15 +114,28 @@ fn assert_assembly_identical(m: &Module, threads: usize) -> Result<(), TestCaseE
     let pooled_lr = LrAnalysis::from_parts_on(lr_parts, &pool);
     assert_lr_identical(m, &serial_lr, &pooled_lr)?;
 
-    // Leg 3: the whole fused driver on a forced pool ≡ the same driver
-    // at width 1 — ranges, LR, and the pool-canonicalized GR final
-    // states all id-identical.
-    let serial_cfg = AnalysisConfig::builder().threads(1).build();
-    let (serial_rbaa, _) = analyze_parallel_on(m, serial_cfg, &WorkerPool::forced(1));
-    let (pooled_rbaa, _) = analyze_parallel_on(m, config, &pool);
-    assert_ranges_identical(m, serial_rbaa.ranges(), pooled_rbaa.ranges())?;
-    assert_lr_identical(m, serial_rbaa.lr(), pooled_rbaa.lr())?;
-    let (sg, pg) = (serial_rbaa.gr(), pooled_rbaa.gr());
+    // Leg 3: the one pipeline on a forced pool ≡ the same pipeline at
+    // width 1 ≡ the serial layer-by-layer reference — ranges, LR, and
+    // the canonicalized GR final states all id-identical.
+    let width1 = BatchAnalysis::analyze_on(m, config, &WorkerPool::forced(1));
+    let pooled = BatchAnalysis::analyze_on(m, config, &pool);
+    let reference = RbaaAnalysis::analyze_with(m, config);
+    for other in [pooled.rbaa(), &reference] {
+        assert_rbaa_identical(m, width1.rbaa(), other)?;
+    }
+    Ok(())
+}
+
+/// Id-for-id equality of two whole analyses: ranges, LR, and the GR
+/// final states with their canonical arena extents.
+fn assert_rbaa_identical(
+    m: &Module,
+    a: &RbaaAnalysis,
+    b: &RbaaAnalysis,
+) -> Result<(), TestCaseError> {
+    assert_ranges_identical(m, a.ranges(), b.ranges())?;
+    assert_lr_identical(m, a.lr(), b.lr())?;
+    let (sg, pg) = (a.gr(), b.gr());
     prop_assert_eq!(sg.arena().len(), pg.arena().len(), "GR expr drift");
     prop_assert_eq!(sg.arena().num_ranges(), pg.arena().num_ranges());
     for f in m.func_ids() {
@@ -157,7 +172,7 @@ proptest! {
 }
 
 /// Call-graph-heavy corpus: deep caller chains stress the GR wave
-/// schedule and its final-state re-canonicalization on the pool.
+/// schedule and its final-state re-canonicalization.
 #[test]
 fn call_graph_assembly_identical() {
     for (funcs, seed) in [(6usize, 11u64), (12, 29), (20, 97)] {

@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use sra::core::{
-    analyze_parallel, pointer_values, AliasMatrix, AnalysisConfig, AnalysisSession, QueryMode,
+    pointer_values, AliasMatrix, AnalysisConfig, AnalysisSession, QueryMode, RbaaAnalysis,
 };
 use sra::ir::Module;
 use sra::workloads::edits;
@@ -20,7 +20,7 @@ use sra::workloads::scaling;
 /// uncached reference, the serial matrix, the tiled parallel matrix,
 /// and a demand cache grown query by query.
 fn assert_three_way_agreement(m: &Module, threads: usize) -> Result<(), TestCaseError> {
-    let rbaa = analyze_parallel(m, AnalysisConfig::builder().threads(threads).build());
+    let rbaa = RbaaAnalysis::analyze_with(m, AnalysisConfig::builder().threads(threads).build());
     let mut demand = rbaa.demand_cache();
     for f in m.func_ids() {
         let serial = AliasMatrix::build(&rbaa, m, f);

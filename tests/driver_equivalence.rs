@@ -7,25 +7,23 @@
 
 use proptest::prelude::*;
 use sra::core::{
-    pointer_values, AliasAnalysis, AnalysisConfig, BatchAnalysis, GrSchedule, QueryStats,
-    RbaaAnalysis,
+    pointer_values, AliasAnalysis, AnalysisConfig, BatchAnalysis, QueryStats, RbaaAnalysis,
+    WorkerPool,
 };
 use sra::ir::Module;
 
 /// Asserts the full equivalence on one module for a given worker
 /// count: every ordered pair (including the diagonal), plus the
-/// aggregated per-function statistics. The batch driver runs with the
-/// GR schedule forced **both** ways — waves and serial — against the
-/// one serial reference.
+/// aggregated per-function statistics. The batch driver runs on a
+/// forced pool of `threads` workers **and** on a width-1 pool — the
+/// wave-parallel and the level-by-level GR walk — against the one
+/// serial reference.
 fn assert_equivalent(m: &Module, threads: usize) -> Result<(), TestCaseError> {
     let serial = RbaaAnalysis::analyze(m);
-    for schedule in [GrSchedule::Waves, GrSchedule::Serial] {
-        let config = AnalysisConfig::builder()
-            .threads(threads)
-            .gr_schedule(schedule)
-            .build();
-        let batch = BatchAnalysis::analyze_with(m, config);
-        assert_batch_matches(m, &serial, &batch, threads)?;
+    let config = AnalysisConfig::builder().threads(threads).build();
+    for width in [threads, 1] {
+        let batch = BatchAnalysis::analyze_on(m, config, &WorkerPool::forced(width));
+        assert_batch_matches(m, &serial, &batch, width)?;
     }
     Ok(())
 }

@@ -1,10 +1,12 @@
-//! The GR wave scheduler's contract: [`GrSchedule::Waves`] — SCCs of
-//! each call-graph condensation level analysed concurrently, with
-//! per-SCC state hand-off to worker threads — produces **byte-identical**
-//! `PtrState`s to [`GrSchedule::Serial`] on arbitrary modules. The
-//! per-SCC Gauss–Seidel sweep order is spec; this rail is what lets the
-//! scheduler change its parallelisation freely — any drift in any
-//! state of any value is a test failure, not a silent precision change.
+//! The GR wave scheduler's contract: on a pool wider than one, the SCCs
+//! of each call-graph condensation level are analysed concurrently,
+//! with per-SCC state hand-off to worker threads — and that produces
+//! **byte-identical** `PtrState`s to a width-1 pool, which walks the
+//! same order level by level on the calling thread, on arbitrary
+//! modules. The per-SCC Gauss–Seidel sweep order is spec; this rail is
+//! what lets the scheduler change its parallelisation freely — any
+//! drift in any state of any value is a test failure, not a silent
+//! precision change.
 //!
 //! Two generators feed the property: the instruction-heavy Figure-15
 //! workload (flat call graph, loops, σ-chains) and the call-graph
@@ -12,19 +14,18 @@
 //! multi-node SCCs are both exercised — wide fans, cross edges).
 
 use proptest::prelude::*;
-use sra::core::{GrAnalysis, GrConfig, GrSchedule};
+use sra::core::{GrAnalysis, GrConfig};
 use sra::ir::Module;
 use sra::range::RangeAnalysis;
 
-/// Asserts state-for-state equality between the serial schedule and
-/// waves at `threads` workers, plus matching sweep counts.
+/// Asserts state-for-state equality between a width-1 pool and waves
+/// on a forced pool of `threads` workers, plus matching sweep counts.
 fn assert_schedules_equal(m: &Module, threads: usize) -> Result<(), TestCaseError> {
     let ranges = RangeAnalysis::analyze(m);
     let serial = GrAnalysis::analyze_with(
         m,
         &ranges,
         GrConfig {
-            schedule: GrSchedule::Serial,
             threads: 1,
             ..GrConfig::default()
         },
@@ -33,7 +34,6 @@ fn assert_schedules_equal(m: &Module, threads: usize) -> Result<(), TestCaseErro
         m,
         &ranges,
         GrConfig {
-            schedule: GrSchedule::Waves,
             threads,
             ..GrConfig::default()
         },

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use sra::core::{
-    analyze_parallel, pointer_values, AnalysisConfig, AnalysisSession, BatchAnalysis, GrConfig,
+    pointer_values, AnalysisConfig, AnalysisSession, BatchAnalysis, GrConfig, RbaaAnalysis,
 };
 use sra::ir::{BinOp, Callee, CmpOp, FuncId, Function, FunctionBuilder, Module, Ty, ValueId};
 use sra::workloads::edits::{self, Edit};
@@ -44,7 +44,7 @@ impl Draws {
 /// current module.
 fn assert_matches_scratch(session: &AnalysisSession, step: usize) -> Result<(), TestCaseError> {
     let m = session.module();
-    let scratch = analyze_parallel(m, session.config());
+    let scratch = RbaaAnalysis::analyze_with(m, session.config());
     let rbaa = session.analysis();
     prop_assert!(
         rbaa.symbols().iter().eq(scratch.symbols().iter()),

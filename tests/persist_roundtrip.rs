@@ -10,8 +10,11 @@
 //! is a structured [`PersistError`], never a panic and never a wrong
 //! verdict.
 
+use std::hash::Hasher;
+
 use proptest::prelude::*;
 use sra::core::{pointer_values, AnalysisConfig, AnalysisSession, PersistError, QueryMode};
+use sra::symbolic::FxHasher;
 use sra::workloads::edits;
 use sra::workloads::scaling;
 
@@ -135,6 +138,58 @@ proptest! {
 /// The corruption rail: every truncation point, a bit-flip sweep, a
 /// version bump and a smashed magic must all surface as structured
 /// errors — never a panic, never an `Ok` with silently wrong state.
+/// Snapshots carry the retired GR schedule byte in their config
+/// section (`0` serial, `1` waves — byte-identical solves). Saves keep
+/// writing `1`, a snapshot whose byte is `0` loads and answers like the
+/// original, and any other value is still corruption.
+#[test]
+fn retired_serial_schedule_tag_still_loads() {
+    let m = scaling::generate_call_graph_module(12, 5);
+    let config = AnalysisConfig::builder().threads(1).build();
+    let session = AnalysisSession::with_config(m, config).expect("generated modules verify");
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("in-memory save");
+    // After the 12 header bytes comes the config section: tag, u64
+    // length, payload, u64 `FxHasher` digest of the payload. The
+    // schedule byte follows the thread count (8 bytes) and the range
+    // (4 + 4 + 1) and GR (4 + 4 + 1) knobs.
+    assert_eq!(bytes[12], 0, "the config section comes first");
+    let len = u64::from_le_bytes(bytes[13..21].try_into().unwrap()) as usize;
+    let payload = 21..21 + len;
+    let with_tag = |tag: u8| {
+        let mut out = bytes.clone();
+        out[payload.start + 26] = tag;
+        let mut digest = FxHasher::default();
+        digest.write(&out[payload.clone()]);
+        out[payload.end..payload.end + 8].copy_from_slice(&digest.finish().to_le_bytes());
+        out
+    };
+    assert_eq!(with_tag(1), bytes, "saves write the old default tag");
+
+    let loaded = AnalysisSession::load(&mut with_tag(0).as_slice()).expect("tag 0 loads");
+    assert_eq!(loaded.config(), session.config());
+    let m = session.module();
+    for f in m.func_ids() {
+        let ptrs = pointer_values(m, f);
+        for &p in &ptrs {
+            for &q in &ptrs {
+                assert_eq!(
+                    loaded.alias_with_test(f, p, q),
+                    session.alias_with_test(f, p, q)
+                );
+            }
+        }
+    }
+    let mut again = Vec::new();
+    loaded.save(&mut again).expect("in-memory save");
+    assert_eq!(again, bytes, "the re-save writes the default tag");
+
+    assert!(matches!(
+        AnalysisSession::load(&mut with_tag(2).as_slice()),
+        Err(PersistError::Corrupt(_))
+    ));
+}
+
 #[test]
 fn corruption_is_rejected_never_misread() {
     let m = scaling::generate_module(120, 9);

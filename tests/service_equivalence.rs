@@ -2,9 +2,9 @@
 //! edit/query interleavings,
 //!
 //! * every query answered by a published [`EpochSnapshot`] is
-//!   byte-identical to an `AliasMatrix` lookup on a scratch
-//!   `analyze_parallel` of **exactly the edit prefix named by the
-//!   snapshot's epoch** — same verdicts, same `WhichTest`
+//!   byte-identical to an `AliasMatrix` lookup on the serial reference
+//!   (`RbaaAnalysis::analyze_with`) of **exactly the edit prefix named
+//!   by the snapshot's epoch** — same verdicts, same `WhichTest`
 //!   attributions, same per-function statistics;
 //! * epochs advance by exactly one per applied edit, independently per
 //!   tenant;
@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 use sra::core::{
-    analyze_parallel, pointer_values, AliasService, AnalysisConfig, BatchAnalysis, ServiceError,
+    pointer_values, AliasService, AnalysisConfig, BatchAnalysis, RbaaAnalysis, ServiceError,
 };
 use sra::ir::Module;
 use sra::workloads::edits::{self, Edit};
@@ -35,7 +35,7 @@ fn assert_snapshot_matches_scratch(
         module,
         "snapshot module is not the epoch's edit prefix"
     );
-    let scratch = analyze_parallel(module, config);
+    let scratch = RbaaAnalysis::analyze_with(module, config);
     let batch = BatchAnalysis::from_rbaa(scratch, module, 1);
     for f in module.func_ids() {
         let ptrs = pointer_values(module, f);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sra::core::{
-    analyze_parallel, pointer_values, AliasService, AnalysisConfig, BatchAnalysis, ServiceError,
+    pointer_values, AliasService, AnalysisConfig, BatchAnalysis, RbaaAnalysis, ServiceError,
 };
 use sra::workloads::edits;
 use sra::workloads::traffic::{self, TrafficConfig};
@@ -64,7 +64,7 @@ fn run_and_check_no_lost_updates(cfg: &TrafficConfig) {
             &replay,
             "tenant {i}: final module diverged from sequential replay"
         );
-        let scratch = analyze_parallel(&replay, AnalysisConfig::default());
+        let scratch = RbaaAnalysis::analyze_with(&replay, AnalysisConfig::default());
         let batch = BatchAnalysis::from_rbaa(scratch, &replay, 1);
         for f in replay.func_ids() {
             let ptrs = pointer_values(&replay, f);
@@ -352,7 +352,7 @@ fn snapshots_survive_service_shutdown() {
     // The snapshot still answers every query it could before.
     assert_eq!(snap.epoch(), epoch);
     let m = snap.module();
-    let scratch = analyze_parallel(m, AnalysisConfig::default());
+    let scratch = RbaaAnalysis::analyze_with(m, AnalysisConfig::default());
     let batch = BatchAnalysis::from_rbaa(scratch, m, 1);
     for f in m.func_ids() {
         let ptrs = pointer_values(m, f);
@@ -405,7 +405,7 @@ fn stale_and_foreign_pairs_get_an_error_in_both_query_modes() {
                 let mut m = m.clone();
                 let mut out = Vec::new();
                 for edit in stream.iter().map(Some).chain([None]) {
-                    let scratch = analyze_parallel(&m, config);
+                    let scratch = RbaaAnalysis::analyze_with(&m, config);
                     out.push((m.clone(), BatchAnalysis::from_rbaa(scratch, &m, 1)));
                     if let Some(edit) = edit {
                         edits::apply_to_module(&mut m, edit).expect("stream edits stay valid");

@@ -3,7 +3,7 @@
 //! [`sra::lang::SourceProgram`] → [`AnalysisSession::apply_source_edit`]
 //! pipeline is byte-identical to throwing the text away and starting
 //! over — a full re-lower of the current source plus a from-scratch
-//! `analyze_parallel` + matrix build. Same module, same symbol tables,
+//! serial reference (`RbaaAnalysis::analyze_with`) and matrix build. Same module, same symbol tables,
 //! same GR/LR/range states, same sweep counts, same verdicts and
 //! `WhichTest` attributions, same per-function statistics. On top of
 //! identity, the reuse counters must witness the incrementality:
@@ -11,7 +11,7 @@
 //! re-analyze *nothing*.
 
 use proptest::prelude::*;
-use sra::core::{analyze_parallel, pointer_values, AnalysisConfig, AnalysisSession, BatchAnalysis};
+use sra::core::{pointer_values, AnalysisConfig, AnalysisSession, BatchAnalysis, RbaaAnalysis};
 use sra::lang::{SourceDiff, SourceProgram};
 use sra::workloads::source_edits;
 
@@ -19,7 +19,7 @@ use sra::workloads::source_edits;
 /// of its current module.
 fn assert_matches_scratch(session: &AnalysisSession) -> Result<(), TestCaseError> {
     let m = session.module();
-    let scratch = analyze_parallel(m, session.config());
+    let scratch = RbaaAnalysis::analyze_with(m, session.config());
     let rbaa = session.analysis();
     prop_assert!(
         rbaa.symbols().iter().eq(scratch.symbols().iter()),

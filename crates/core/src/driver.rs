@@ -34,8 +34,6 @@
 //! assert_eq!(batch.stats(fid).queries, 1);
 //! ```
 
-use std::sync::Arc;
-
 use sra_ir::{FuncId, Module, ValueId};
 
 use crate::config::AnalysisConfig;
@@ -88,7 +86,7 @@ pub(crate) fn ns_since(t: std::time::Instant) -> u64 {
 #[derive(Debug)]
 pub struct BatchAnalysis {
     rbaa: RbaaAnalysis,
-    matrices: Vec<Arc<AliasMatrix>>,
+    matrices: Vec<AliasMatrix>,
     phases: PhaseStats,
 }
 
@@ -147,7 +145,7 @@ impl BatchAnalysis {
         phases.matrices_ns = ns_since(t);
         BatchAnalysis {
             rbaa,
-            matrices: matrices.into_iter().map(Arc::new).collect(),
+            matrices,
             phases,
         }
     }

@@ -233,9 +233,12 @@ const TRIPPED: u32 = u32::MAX;
 
 /// The fewest moved parts a rebuild rebases on the pool. Rebased
 /// arenas outlive the rebuild, and allocating a small session's on
-/// worker threads raised `tenant_fleet` peak RSS from 84–87 to 91–99 MiB
-/// (2-core host); 10⁶-instruction scratch builds rebase ~20 % faster
-/// pooled.
+/// worker threads raised `tenant_fleet` peak RSS from 84–87 to 91–99 MiB.
+/// A scratch build moves every part, and rebasing them all serially
+/// instead raised perfbench `cold_module` peak RSS from 287 to 305 MiB
+/// (medians of 10 alternating pairs, 8 worse) and slowed the
+/// 1.09M-instruction `trajectory` scratch arm from 16.1/20.4 s to
+/// 17.1/24.9 s (two pairs); all on a 2-core host.
 const REBASE_FANOUT: usize = 512;
 
 /// Everything a session derives from its module: the module itself,
@@ -797,11 +800,13 @@ impl AnalysisSession {
 
         let mut check: Vec<usize> = touched.iter().map(|f| new_id(f.index())).collect();
         if recheck_callers.contains(&true) {
-            // Untargeted callers: removed and replaced ones are settled.
+            // Surviving callers; `dedup` absorbs the replaced ones. A
+            // replace with an unchanged body is not in `touched`, so
+            // only removal may exclude a caller.
             check.extend(
                 (0..nf)
                     .filter(|&c| {
-                        !targeted[c]
+                        removed.binary_search(&c).is_err()
                             && old
                                 .callgraph
                                 .callees(FuncId::new(c))

@@ -129,12 +129,18 @@ pub fn evaluate(m: &Module) -> Metrics {
 
 /// [`evaluate`] with an explicit worker count (`1` = fully serial).
 pub fn evaluate_with(m: &Module, threads: usize) -> Metrics {
-    // Figure 15 times only the paper's pipeline (bootstrap + GR + LR),
-    // not query evaluation — the matrix phase stays off the clock.
-    let batch = BatchAnalysis::analyze_with(m, AnalysisConfig::builder().threads(threads).build());
-    let phases = *batch.phases();
-    let analysis_time = Duration::from_nanos(phases.parts_ns + phases.assemble_ns + phases.gr_ns);
+    // One persistent pool serves the pipeline, the matrix builds and
+    // the metric rows. Figure 15 times only the paper's pipeline
+    // (bootstrap + GR + LR), not query evaluation — the matrix phase
+    // is taken off the clock.
     let wp = WorkerPool::new(threads);
+    let config = AnalysisConfig::builder().threads(threads).build();
+    let started = Instant::now();
+    let batch = BatchAnalysis::analyze_on(m, config, &wp);
+    let phases = *batch.phases();
+    let analysis_time = started
+        .elapsed()
+        .saturating_sub(Duration::from_nanos(phases.matrices_ns));
     let basic = BasicAlias::analyze(m);
     let scev = ScevAlias::analyze(m);
 

@@ -222,16 +222,20 @@ fn random_batch(session: &AnalysisSession, rng: &mut Rng, case: usize) -> Vec<Se
                 if fix || rng.below(2) == 0 {
                     let body = stub(&name(c), &sig(c), &[(f, wide.clone())]);
                     push(&mut edits, c, Some(body));
+                } else if rng.below(2) == 0 {
+                    // Left broken, but re-submitted with its current body.
+                    push(&mut edits, c, Some(m.function(c).clone()));
                 }
             }
         }
         // A removal of a (possibly still-called) function, its callers
-        // rewritten, removed or left dangling.
+        // rewritten, removed, left dangling or re-submitted unchanged.
         1 => {
             for c in callers(f) {
-                match rng.below(3) {
+                match rng.below(4) {
                     0 => push(&mut edits, c, Some(stub(&name(c), &sig(c), &[]))),
                     1 => push(&mut edits, c, None),
+                    2 => push(&mut edits, c, Some(m.function(c).clone())),
                     _ => {}
                 }
             }

@@ -49,10 +49,10 @@ use crate::session::{scratch, SessionStats};
 /// analysis phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
-    /// Per-function bootstrap-range and LR part analyses, with the
-    /// rebase of every part onto its symbol block.
+    /// Bootstrap-range and LR part analyses of the edited functions.
     pub parts_ns: u64,
-    /// Canonical-arena assembly of the parts (range + LR imports).
+    /// Canonical-arena assembly: range + LR imports of fresh parts and
+    /// of carried functions out of the previous module arenas.
     pub assemble_ns: u64,
     /// Interprocedural GR solve plus its canonical re-interning.
     pub gr_ns: u64,
@@ -60,7 +60,8 @@ pub struct PhaseStats {
     pub matrices_ns: u64,
     /// Dropping the analysis an incremental rebuild superseded.
     pub teardown_ns: u64,
-    /// Snapshot deserialization (section decode + reassembly).
+    /// Snapshot deserialization: section decode and validation, straight
+    /// into the module arenas (nothing is re-assembled).
     pub load_ns: u64,
 }
 

@@ -62,7 +62,7 @@ pub use config::{AnalysisConfig, AnalysisConfigBuilder};
 pub use driver::{BatchAnalysis, PhaseStats};
 pub use gr::{GrAnalysis, GrConfig};
 pub use locs::{AllocSite, LocId, LocKind, LocTable};
-pub use lr::{LocalBase, LrAnalysis, LrPart, LrState, LrStateRef};
+pub use lr::{LocalBase, LrAnalysis, LrPart, LrSource, LrState, LrStateRef};
 pub use persist::PersistError;
 pub use pool::WorkerPool;
 pub use query::{

@@ -33,9 +33,7 @@ use sra_ir::cfg::Cfg;
 use sra_ir::dom::DomTree;
 use sra_ir::{BinOp, FuncId, GlobalId, Inst, Module, Ty, ValueId, ValueKind};
 use sra_symbolic::pool::WorkerPool;
-use sra_symbolic::{
-    ExprArena, ExprId, ImportMap, OverlayPart, RangeId, Symbol, SymbolNames, SymbolTable,
-};
+use sra_symbolic::{ExprArena, ExprId, ImportMap, RangeId, Symbol, SymbolNames, SymbolTable};
 
 use std::fmt;
 use std::sync::Arc;
@@ -194,59 +192,67 @@ impl fmt::Display for DisplayLr<'_> {
 
 /// The per-function output of the local analysis: the states (ranges
 /// interned in the part's own arena) plus the offset-symbol names
-/// minted, in minting order. See [`sra_range::RangePart`] for the role
-/// parts play in the pooled pipeline.
+/// minted from `first_symbol`, in minting order. Transient, like
+/// [`sra_range::RangePart`]: it lives until an assembly imports it.
 #[derive(Debug, Clone)]
 pub struct LrPart {
-    /// The part's private arena (shared by reference with an
-    /// incremental session's cache).
-    pub arena: Arc<ExprArena>,
+    /// The part's private arena.
+    pub arena: ExprArena,
     /// `LR(v)` for every value of the function.
-    pub states: Arc<Vec<Option<LrState>>>,
+    pub states: Vec<Option<LrState>>,
     /// The `first_symbol` this part was analyzed with.
     pub first_symbol: u32,
-    /// Names of the symbols minted, starting at `first_symbol` (shared,
-    /// like the arena, so cloning a part copies no strings).
-    pub symbol_names: Arc<[String]>,
+    /// Names of the symbols minted, starting at `first_symbol`.
+    pub symbol_names: Vec<String>,
 }
 
-impl LrPart {
-    /// Rebases the part onto a new `first_symbol` (see
-    /// [`sra_range::RangePart::rebase`] — same contract: an LR part
-    /// mentions only its own symbol block, and the arena import under
-    /// the monotone shift reproduces exactly what
-    /// [`analyze_function_part`] would have minted at the new base).
-    pub fn rebase(&mut self, new_first: u32) {
-        if new_first == self.first_symbol {
-            return;
+/// Where [`LrAnalysis::assemble_on`] takes one function's states from.
+#[derive(Debug)]
+pub enum LrSource<'a> {
+    /// A freshly analyzed part.
+    Fresh(Box<LrPart>),
+    /// A function of an earlier assembled analysis, carried over: its
+    /// states are imported straight out of that analysis' module arena.
+    Carried(&'a LrAnalysis, FuncId),
+}
+
+impl LrSource<'_> {
+    /// The source arena, the function's states in it, the first symbol
+    /// they mention and the names of the function's symbols.
+    fn view(&self) -> (&ExprArena, &[Option<LrState>], u32, &[String]) {
+        match self {
+            LrSource::Fresh(p) => (&p.arena, &p.states, p.first_symbol, &p.symbol_names),
+            LrSource::Carried(from, f) => {
+                let block = from.symbol_block(*f);
+                let states = &from.states[f.index()];
+                (&from.arena, states, block.start, from.symbols.names(block))
+            }
         }
-        let old = self.first_symbol;
-        let budget = self.symbol_names.len() as u32;
-        let rename = |s: Symbol| {
-            debug_assert!(
-                s.index() >= old && (s.index() - old) < budget,
-                "LR parts only mention their own symbol block"
-            );
-            Symbol::new(s.index() - old + new_first)
-        };
-        let mut dst = ExprArena::new();
-        let mut map = ImportMap::default();
-        let states = self
-            .states
-            .iter()
-            .map(|slot| {
-                slot.as_ref().map(|s| LrState {
-                    base: s.base,
-                    range: dst.import_range(&self.arena, s.range, &rename, &mut map),
-                    sigmas: s.sigmas.clone(),
-                    block: s.block,
-                })
-            })
-            .collect();
-        self.arena = Arc::new(dst);
-        self.states = Arc::new(states);
-        self.first_symbol = new_first;
     }
+}
+
+/// Imports one function's states into `arena`, renaming its symbols
+/// `s ↦ s − first + base`.
+fn import_states(
+    arena: &mut ExprArena,
+    src: &ExprArena,
+    states: &[Option<LrState>],
+    first: u32,
+    base: u32,
+) -> Vec<Option<LrState>> {
+    let rename = |s: Symbol| Symbol::new(s.index() - first + base);
+    let mut map = ImportMap::default();
+    states
+        .iter()
+        .map(|slot| {
+            slot.as_ref().map(|s| LrState {
+                base: s.base,
+                range: arena.import_range(src, s.range, &rename, &mut map),
+                sigmas: s.sigmas.clone(),
+                block: s.block,
+            })
+        })
+        .collect()
 }
 
 /// The number of offset symbols [`analyze_function_part`] will mint for
@@ -289,6 +295,8 @@ pub fn symbol_budget(m: &Module, fid: FuncId) -> usize {
 pub struct LrAnalysis {
     states: Vec<Vec<Option<LrState>>>,
     symbols: SymbolTable,
+    /// Function `f`'s symbols are `bases[f]..bases[f + 1]`.
+    bases: Vec<u32>,
     arena: Arc<ExprArena>,
 }
 
@@ -307,104 +315,88 @@ impl LrAnalysis {
 
     /// Reassembles a whole-module result from per-function parts in
     /// function order, importing every part arena into one module
-    /// arena; see [`sra_range::RangeAnalysis::from_parts`] — the same
+    /// arena under the renaming onto each function's dense symbol
+    /// block; see [`sra_range::RangeAnalysis::from_parts`] — the same
     /// structure-driven import makes the module arena (and every id)
-    /// canonical in the analyzed states.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the parts' symbol bases do not line up.
+    /// canonical in the analyzed states. The serial reference for
+    /// [`LrAnalysis::assemble_on`].
     pub fn from_parts(parts: Vec<LrPart>) -> Self {
-        let mut symbols = SymbolTable::new();
+        let (symbols, bases) = SymbolTable::from_blocks(parts.iter().map(|p| &p.symbol_names[..]));
         let mut arena = ExprArena::new();
         let mut states = Vec::with_capacity(parts.len());
-        for part in parts {
-            assert_eq!(
-                part.first_symbol as usize,
-                symbols.len(),
-                "LR parts assembled out of order or with wrong bases"
-            );
-            for name in part.symbol_names.iter() {
-                symbols.fresh(name);
-            }
-            let mut map = ImportMap::default();
-            let func_states = part
-                .states
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().map(|s| LrState {
-                        base: s.base,
-                        range: arena.import_range(&part.arena, s.range, &|s| s, &mut map),
-                        sigmas: s.sigmas.clone(),
-                        block: s.block,
-                    })
-                })
-                .collect();
+        for (part, &base) in parts.iter().zip(&bases) {
+            let (src, first) = (&part.arena, part.first_symbol);
+            states.push(import_states(&mut arena, src, &part.states, first, base));
             arena.absorb_op_stats(&part.arena);
-            states.push(func_states);
         }
         LrAnalysis {
             states,
             symbols,
+            bases,
             arena: Arc::new(arena),
         }
     }
 
-    /// [`LrAnalysis::from_parts`] with the per-part imports fanned out
-    /// on `pool` — same fixed-order overlay merge as
-    /// [`sra_range::RangeAnalysis::from_parts_on`], and byte-identical
-    /// to the serial walk for the same reason. A width-1 pool takes the
-    /// serial path directly.
+    /// [`LrAnalysis::assemble_on`] of fresh parts.
     pub fn from_parts_on(parts: Vec<LrPart>, pool: &WorkerPool) -> Self {
-        if pool.threads() == 1 || parts.len() <= 1 {
-            return Self::from_parts(parts);
-        }
-        let mut symbols = SymbolTable::new();
-        for part in &parts {
-            assert_eq!(
-                part.first_symbol as usize,
-                symbols.len(),
-                "LR parts assembled out of order or with wrong bases"
-            );
-            for name in part.symbol_names.iter() {
-                symbols.fresh(name);
+        let sources = parts.into_iter().map(|p| LrSource::Fresh(Box::new(p)));
+        Self::assemble_on(sources.collect(), pool)
+    }
+
+    /// Assembles a whole-module result from one source per function on
+    /// `pool` — the fan-out and renamings of
+    /// [`sra_range::RangeAnalysis::assemble_on`], and byte-identical to
+    /// [`LrAnalysis::from_parts`] over fresh parts for the same reason.
+    pub fn assemble_on(sources: Vec<LrSource<'_>>, pool: &WorkerPool) -> Self {
+        let views: Vec<_> = sources.iter().map(LrSource::view).collect();
+        let (symbols, bases) = SymbolTable::from_blocks(views.iter().map(|v| v.3));
+        let (mut arena, states) = ExprArena::assemble_on(
+            views.len(),
+            pool,
+            |i, arena| {
+                let (src, states, first, _) = views[i];
+                import_states(arena, src, states, first, bases[i])
+            },
+            |states, xl| {
+                states
+                    .iter_mut()
+                    .flatten()
+                    .for_each(|s| s.range = xl.range(s.range))
+            },
+        );
+        for source in &sources {
+            if let LrSource::Fresh(part) = source {
+                arena.absorb_op_stats(&part.arena);
             }
-        }
-        let empty = Arc::new(ExprArena::new());
-        let imported: Vec<(Vec<Option<LrState>>, OverlayPart)> =
-            pool.run_indexed(parts.len(), |i| {
-                let part = &parts[i];
-                let mut overlay = ExprArena::with_base(Arc::clone(&empty));
-                let mut map = ImportMap::default();
-                let func_states = part
-                    .states
-                    .iter()
-                    .map(|slot| {
-                        slot.as_ref().map(|s| LrState {
-                            base: s.base,
-                            range: overlay.import_range(&part.arena, s.range, &|s| s, &mut map),
-                            sigmas: s.sigmas.clone(),
-                            block: s.block,
-                        })
-                    })
-                    .collect();
-                (func_states, overlay.into_overlay_part())
-            });
-        let mut arena = ExprArena::new();
-        let mut states = Vec::with_capacity(parts.len());
-        for ((mut func_states, overlay), part) in imported.into_iter().zip(&parts) {
-            let xl = arena.adopt(overlay);
-            arena.absorb_op_stats(&part.arena);
-            for slot in func_states.iter_mut().flatten() {
-                slot.range = xl.range(slot.range);
-            }
-            states.push(func_states);
         }
         LrAnalysis {
             states,
             symbols,
+            bases,
             arena: Arc::new(arena),
         }
+    }
+
+    /// Rebuilds an assembled analysis from its module arena and, per
+    /// function, its states and symbol names — a snapshot's contents,
+    /// whose ids the decoder has validated.
+    pub(crate) fn from_raw(
+        arena: ExprArena,
+        per_func: Vec<(Vec<Option<LrState>>, Vec<String>)>,
+    ) -> Self {
+        let (symbols, bases) = SymbolTable::from_blocks(per_func.iter().map(|f| &f.1[..]));
+        LrAnalysis {
+            states: per_func.into_iter().map(|(states, _)| states).collect(),
+            symbols,
+            bases,
+            arena: Arc::new(arena),
+        }
+    }
+
+    /// The symbol ids of `f`'s offset symbols: a dense block after the
+    /// blocks of the functions before it.
+    pub fn symbol_block(&self, f: FuncId) -> std::ops::Range<u32> {
+        self.bases[f.index()]..self.bases[f.index() + 1]
     }
 
     /// The local state of `v` in `f`; `None` for non-pointers and
@@ -418,6 +410,11 @@ impl LrAnalysis {
     /// Raw access to the stored state (crate-internal fast paths).
     pub(crate) fn raw_state(&self, f: FuncId, v: ValueId) -> Option<&LrState> {
         self.states[f.index()][v.index()].as_ref()
+    }
+
+    /// Every value's state in `f` (the snapshot encoder).
+    pub(crate) fn function_states(&self, f: FuncId) -> &[Option<LrState>] {
+        &self.states[f.index()]
     }
 
     /// The module arena every state's range handle points into.
@@ -453,10 +450,10 @@ pub fn analyze_function_part(m: &Module, fid: FuncId, first_symbol: u32) -> LrPa
         "symbol_budget must match what the analysis mints"
     );
     LrPart {
-        arena: Arc::new(arena),
-        states: Arc::new(states),
+        arena,
+        states,
         first_symbol,
-        symbol_names: minter.names.into(),
+        symbol_names: minter.names,
     }
 }
 
@@ -828,29 +825,31 @@ mod tests {
         assert!(disjoint(&lr, sq, sr));
     }
 
-    /// Rebasing an LR part is byte-identical to re-analyzing at the new
-    /// base, down to the module arena ids after assembly.
+    /// A part analyzed at any `first_symbol` assembles to the states
+    /// and symbol names of one analyzed at its prefix base.
     #[test]
-    fn rebase_equals_reanalysis() {
+    fn any_first_symbol_assembles_like_the_prefix_base() {
         let mut b = FunctionBuilder::new("f", &[Ty::Ptr, Ty::Int], None);
         let p = b.param(0);
         let n = b.param(1);
-        let q = b.ptr_add(p, n);
-        let _ = q;
+        b.ptr_add(p, n);
         b.ret(None);
         let mut m = Module::new();
-        let fid = m.add_function(b.finish());
-        let mut part = analyze_function_part(&m, fid, 4);
-        part.rebase(0);
-        let fresh = analyze_function_part(&m, fid, 0);
-        let via_rebase = LrAnalysis::from_parts(vec![part]);
-        let via_fresh = LrAnalysis::from_parts(vec![fresh]);
-        for v in m.function(fid).value_ids() {
-            assert_eq!(
-                via_rebase.raw_state(fid, v),
-                via_fresh.raw_state(fid, v),
-                "{v}"
-            );
+        let f0 = m.add_function(b.finish());
+        let f1 = m.add_function(m.function(f0).clone());
+        let part = |f, first| analyze_function_part(&m, f, first);
+        let prefix = symbol_budget(&m, f0) as u32;
+        let reference = LrAnalysis::from_parts(vec![part(f0, 0), part(f1, prefix)]);
+        for first in [0, prefix, 7] {
+            let assembled = LrAnalysis::from_parts(vec![part(f0, first), part(f1, first)]);
+            assert!(assembled.symbols().iter().eq(reference.symbols().iter()));
+            for f in m.func_ids() {
+                assert_eq!(assembled.symbol_block(f), reference.symbol_block(f));
+                for v in m.function(f).value_ids() {
+                    let (a, b) = (assembled.raw_state(f, v), reference.raw_state(f, v));
+                    assert_eq!(a, b, "{first} {f} {v}");
+                }
+            }
         }
     }
 }

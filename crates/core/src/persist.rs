@@ -1,8 +1,9 @@
 //! Versioned snapshot persistence for warm-started sessions.
 //!
 //! [`AnalysisSession::save`](crate::AnalysisSession::save) serializes
-//! a session's complete analysis state — module, per-function range/LR
-//! parts, the interprocedural GR fixpoint (canonical arena included),
+//! a session's complete analysis state — module, the bootstrap ranges
+//! and LR states with their module arenas and symbol tables, the
+//! interprocedural GR fixpoint (canonical arena included),
 //! component caches, packed alias matrices and demand-cache signatures
 //! — into a length-prefixed, checksummed binary stream;
 //! [`AnalysisSession::load`](crate::AnalysisSession::load) restores it
@@ -36,7 +37,7 @@
 //! unchanged.
 //!
 //! Format version 2 length-frames every per-function item inside the
-//! part, GR-state and matrix sections (`Enc::nested`), so a loader
+//! range, LR, GR-state and matrix sections (`Enc::nested`), so a loader
 //! can split a section into independent byte slices up front and
 //! decode the items on its worker pool — the framing is what makes the
 //! parallel warm-start load possible. Saves stay byte-deterministic.
@@ -44,7 +45,14 @@
 //! Format version 3 extends the component section with the GR solve's
 //! per-function sweep record (see
 //! [`AnalysisSession`](crate::AnalysisSession)'s edit slice), a
-//! `u32` per function; a version-2 stream fails to load with
+//! `u32` per function.
+//!
+//! Format version 4 stores the range and LR sections the way the GR
+//! section is stored: the assembled module arena, the symbol-table
+//! length, then per function a frame of range ids or LR states followed
+//! by the names of the function's symbol block. A load decodes them
+//! straight into the assembled analyses, with no per-function part
+//! arenas and no re-assembly. Older streams fail to load with
 //! [`PersistError::UnsupportedVersion`].
 
 use std::fmt;
@@ -64,15 +72,16 @@ pub const SERVICE_MAGIC: [u8; 8] = *b"SRA1SERV";
 /// matrix sections so loads can decode them in parallel. Version 3
 /// records the module-wide GR trip flag once and, per function, the
 /// last ascending sweep that changed it, so the first edit after a load
-/// re-solves only its slice.
-pub const FORMAT_VERSION: u32 = 3;
+/// re-solves only its slice. Version 4 replaces the per-function range
+/// and LR parts with the assembled module arenas.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Section tags, in stream order.
 pub(crate) mod tag {
     pub const CONFIG: u8 = 0;
     pub const MODULE: u8 = 1;
-    pub const RANGE_PARTS: u8 = 2;
-    pub const LR_PARTS: u8 = 3;
+    pub const RANGES: u8 = 2;
+    pub const LR: u8 = 3;
     pub const GR: u8 = 4;
     pub const COMPONENTS: u8 = 5;
     pub const MATRICES: u8 = 6;
@@ -959,13 +968,12 @@ pub(crate) fn decode_module(
 // ---------------------------------------------------------------------
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::locs::LocId;
-use crate::lr::{LocalBase, LrPart, LrState};
+use crate::lr::{LocalBase, LrState};
+use crate::pool::WorkerPool;
 use crate::state::PtrState;
-use sra_range::RangePart;
-use sra_symbolic::RangeId;
+use sra_symbolic::{RangeId, SymbolTable};
 
 pub(crate) fn encode_ptr_state(enc: &mut Enc, st: &PtrState) {
     match st {
@@ -1012,65 +1020,111 @@ pub(crate) fn decode_ptr_state(
     }
 }
 
-fn encode_range_ids(enc: &mut Enc, ids: &[RangeId]) {
+/// Reads an item count that must be `n` (else the `what` table is
+/// corrupt), then decodes the `n` length-framed items on `pool`: `item`
+/// reads one and must consume its frame whole. Errors surface in item
+/// order.
+pub(crate) fn decode_framed<T: Send>(
+    mut dec: Dec<'_>,
+    n: usize,
+    what: &str,
+    pool: &WorkerPool,
+    item: impl Fn(usize, &mut Dec<'_>) -> Result<T, PersistError> + Sync,
+) -> Result<Vec<T>, PersistError> {
+    if dec.len(8)? != n {
+        return Err(corrupt(format!("{what} table does not match the module")));
+    }
+    let mut frames = Vec::with_capacity(n);
+    for _ in 0..n {
+        frames.push(dec.bytes()?);
+    }
+    dec.finish()?;
+    pool.run_indexed(n, |i| {
+        let mut d = Dec::new(frames[i]);
+        let t = item(i, &mut d)?;
+        d.finish()?;
+        Ok(t)
+    })
+    .into_iter()
+    .collect()
+}
+
+/// Writes a range or LR section (format v4), laid out like the GR
+/// section: the module arena, the symbol-table length, then one frame
+/// per function holding its table (written by `table`) and the names of
+/// its symbol block.
+pub(crate) fn encode_symbolic_section(
+    enc: &mut Enc,
+    arena: &ExprArena,
+    symbols: &SymbolTable,
+    blocks: impl ExactSizeIterator<Item = std::ops::Range<u32>>,
+    table: impl Fn(FuncId, &mut Enc),
+) {
+    encode_arena(enc, arena);
+    enc.usize(symbols.len());
+    enc.usize(blocks.len());
+    for (i, block) in blocks.enumerate() {
+        enc.nested(|e| {
+            table(FuncId::new(i), e);
+            let names = symbols.names(block);
+            e.usize(names.len());
+            names.iter().for_each(|n| e.str(n));
+        });
+    }
+}
+
+/// Reads a section written by [`encode_symbolic_section`], each
+/// function's table decoded and validated by `table` on `pool`. The
+/// symbol counts must add up to the table length.
+#[allow(clippy::type_complexity)]
+pub(crate) fn decode_symbolic_section<T: Send>(
+    buf: &[u8],
+    module: &Module,
+    pool: &WorkerPool,
+    table: impl Fn(&mut Dec<'_>, &Function, &ExprArena) -> Result<T, PersistError> + Sync,
+) -> Result<(ExprArena, Vec<(T, Vec<String>)>), PersistError> {
+    let mut dec = Dec::new(buf);
+    let arena = decode_arena(&mut dec)?;
+    let n_symbols = dec.usize()?;
+    let per_func = decode_framed(dec, module.num_functions(), "per-function", pool, |i, d| {
+        let t = table(d, module.function(FuncId::new(i)), &arena)?;
+        let names: Vec<String> = (0..d.len(8)?).map(|_| d.str()).collect::<Result<_, _>>()?;
+        Ok((t, names))
+    })?;
+    if per_func.iter().map(|f| f.1.len()).sum::<usize>() != n_symbols {
+        return Err(corrupt("symbol counts do not add up to the symbol table"));
+    }
+    Ok((arena, per_func))
+}
+
+pub(crate) fn encode_range_ids(enc: &mut Enc, ids: impl ExactSizeIterator<Item = RangeId>) {
     enc.usize(ids.len());
     for r in ids {
         enc.u32(r.index() as u32);
     }
 }
 
-fn decode_range_ids(dec: &mut Dec<'_>, arena: &ExprArena) -> Result<Vec<RangeId>, PersistError> {
-    let n = dec.len(4)?;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        let r = arena
-            .range_id(dec.u32()? as usize)
-            .ok_or_else(|| corrupt("part references unknown range"))?;
-        ids.push(r);
+/// Decodes one function's ranges: one id into `arena` per value.
+pub(crate) fn decode_range_ids(
+    dec: &mut Dec<'_>,
+    func: &Function,
+    arena: &ExprArena,
+) -> Result<Vec<RangeId>, PersistError> {
+    if dec.len(4)? != func.num_values() {
+        return Err(corrupt("range table does not match its function"));
     }
-    Ok(ids)
+    (0..func.num_values())
+        .map(|_| {
+            arena
+                .range_id(dec.u32()? as usize)
+                .ok_or_else(|| corrupt("range table references unknown range"))
+        })
+        .collect()
 }
 
-fn encode_symbols(enc: &mut Enc, first_symbol: u32, names: &[String]) {
-    enc.u32(first_symbol);
-    enc.usize(names.len());
-    for n in names {
-        enc.str(n);
-    }
-}
-
-fn decode_symbols(dec: &mut Dec<'_>) -> Result<(u32, Vec<String>), PersistError> {
-    let first_symbol = dec.u32()?;
-    let n = dec.len(8)?;
-    let mut names = Vec::with_capacity(n);
-    for _ in 0..n {
-        names.push(dec.str()?);
-    }
-    Ok((first_symbol, names))
-}
-
-pub(crate) fn encode_range_part(enc: &mut Enc, part: &RangePart) {
-    encode_arena(enc, &part.arena);
-    encode_range_ids(enc, &part.ranges);
-    encode_symbols(enc, part.first_symbol, &part.symbol_names);
-}
-
-pub(crate) fn decode_range_part(dec: &mut Dec<'_>) -> Result<RangePart, PersistError> {
-    let arena = decode_arena(dec)?;
-    let ranges = decode_range_ids(dec, &arena)?;
-    let (first_symbol, symbol_names) = decode_symbols(dec)?;
-    Ok(RangePart {
-        arena: Arc::new(arena),
-        ranges: Arc::new(ranges),
-        first_symbol,
-        symbol_names: symbol_names.into(),
-    })
-}
-
-pub(crate) fn encode_lr_part(enc: &mut Enc, part: &LrPart) {
-    encode_arena(enc, &part.arena);
-    enc.usize(part.states.len());
-    for st in part.states.iter() {
+pub(crate) fn encode_lr_states(enc: &mut Enc, states: &[Option<LrState>]) {
+    enc.usize(states.len());
+    for st in states {
         match st {
             None => enc.u8(0),
             Some(s) => {
@@ -1094,24 +1148,22 @@ pub(crate) fn encode_lr_part(enc: &mut Enc, part: &LrPart) {
             }
         }
     }
-    encode_symbols(enc, part.first_symbol, &part.symbol_names);
 }
 
-/// `num_values`/`num_blocks` bound the function the part belongs to;
-/// `num_globals` bounds the module's global table.
-pub(crate) fn decode_lr_part(
+/// Decodes one function's LR states: one per value of `func`, every
+/// value, block, global and range id validated.
+pub(crate) fn decode_lr_states(
     dec: &mut Dec<'_>,
-    num_values: usize,
-    num_blocks: usize,
+    func: &Function,
+    arena: &ExprArena,
     num_globals: usize,
-) -> Result<LrPart, PersistError> {
-    let arena = decode_arena(dec)?;
-    let n = dec.len(1)?;
-    if n != num_values {
-        return Err(corrupt("LR state table does not match the function"));
+) -> Result<Vec<Option<LrState>>, PersistError> {
+    let num_values = func.num_values();
+    if dec.len(1)? != num_values {
+        return Err(corrupt("LR state table does not match its function"));
     }
-    let mut states = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut states = Vec::with_capacity(num_values);
+    for _ in 0..num_values {
         let st = match dec.u8()? {
             0 => None,
             1 => {
@@ -1141,7 +1193,7 @@ pub(crate) fn decode_lr_part(
                 let block = match dec.opt_u32()? {
                     None => None,
                     Some(b) => {
-                        if b as usize >= num_blocks {
+                        if b as usize >= func.num_blocks() {
                             return Err(corrupt("LR state references unknown block"));
                         }
                         Some(BlockId::new(b as usize))
@@ -1158,13 +1210,7 @@ pub(crate) fn decode_lr_part(
         };
         states.push(st);
     }
-    let (first_symbol, symbol_names) = decode_symbols(dec)?;
-    Ok(LrPart {
-        arena: Arc::new(arena),
-        states: Arc::new(states),
-        first_symbol,
-        symbol_names: symbol_names.into(),
-    })
+    Ok(states)
 }
 
 // ---------------------------------------------------------------------
@@ -1274,13 +1320,16 @@ mod tests {
             read_header(&mut &bad[..], &MAGIC),
             Err(PersistError::UnsupportedVersion(_))
         ));
-        // A version-2 stream (no GR sweep record) is refused.
-        let mut old = out.clone();
-        old[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            read_header(&mut &old[..], &MAGIC),
-            Err(PersistError::UnsupportedVersion(2))
-        ));
+        // Version-2 (no GR sweep record) and version-3 (range and LR
+        // parts) streams are refused.
+        for v in [2u32, 3] {
+            let mut old = out.clone();
+            old[8..12].copy_from_slice(&v.to_le_bytes());
+            assert!(matches!(
+                read_header(&mut &old[..], &MAGIC),
+                Err(PersistError::UnsupportedVersion(got)) if got == v
+            ));
+        }
         // A flipped payload byte fails the section checksum.
         let mut bad = out.clone();
         bad[12 + 9 + 3] ^= 0x01;

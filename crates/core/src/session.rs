@@ -3,10 +3,11 @@
 //!
 //! [`AnalysisSession`] is the long-lived handle a server keeps per
 //! module: it owns the parsed [`Module`] plus *all* cached analysis
-//! state — the per-function bootstrap-range and LR parts with their
-//! pre-budgeted symbol-id blocks, the per-function CFGs, the
-//! [`CallGraph`], the GR fixpoint with its per-function sweep record,
-//! and one cached [`AliasMatrix`] per function — and accepts
+//! state — the assembled bootstrap-range, LR and GR analyses with
+//! their module arenas and per-function symbol-id blocks, the
+//! per-function CFGs, the [`CallGraph`], the GR fixpoint's per-function
+//! sweep record, and one cached [`AliasMatrix`] per function — and
+//! accepts
 //! function-granularity updates ([`AnalysisSession::replace_function`],
 //! [`AnalysisSession::add_function`],
 //! [`AnalysisSession::remove_function`]).
@@ -24,13 +25,14 @@
 //! "equal to scratch" is the spec the `session_equivalence` property
 //! rail pins. Reuse happens at three granularities:
 //!
-//! * **function parts** — the bootstrap ranges and LR states of a
-//!   function depend only on its own body, so an edit invalidates
-//!   exactly the edited function's parts. Parts whose pre-budgeted
-//!   symbol-id *block* moved (an earlier function's budget changed)
-//!   are **rebased**: their arenas are re-imported under a monotone
-//!   symbol renaming ([`sra_symbolic::ExprArena::import_range`]), which
-//!   commutes with the analysis, instead of re-analyzed.
+//! * **function states** — the bootstrap ranges and LR states of a
+//!   function depend only on its own body, so an edit re-analyzes
+//!   exactly the edited functions, into transient parts. Every other
+//!   function's ranges and LR states are **carried**: the assembly
+//!   imports them straight out of the previous module arenas under the
+//!   monotone renaming `s ↦ s − old_base + new_base` of their symbol-id
+//!   block ([`sra_symbolic::ExprArena::import_range`]), which commutes
+//!   with the analysis — the renaming carried GR states get too.
 //! * **GR slices** — interprocedural dataflow crosses call edges only,
 //!   and a function's visit reads other functions' states only through
 //!   its pointer formals (callers' actuals) and pointer call results
@@ -96,14 +98,14 @@ use sra_ir::callgraph::{CallGraph, Condensation};
 use sra_ir::cfg::Cfg;
 use sra_ir::verify::{verify_function, verify_module, VerifyError};
 use sra_ir::{FuncId, Function, Module, ValueId};
-use sra_range::{RangeAnalysis, RangePart};
+use sra_range::{RangeAnalysis, RangeSource};
 use sra_symbolic::{ExprArena, Symbol};
 
 use crate::config::AnalysisConfig;
 use crate::driver::{ns_since, PhaseStats};
 use crate::gr::{self, Carry, FinalStates, GrAnalysis, GrConfig, GrSolver};
 use crate::locs::{LocId, LocTable};
-use crate::lr::{self, LrAnalysis, LrPart};
+use crate::lr::{self, LrAnalysis, LrSource};
 use crate::persist::{self, PersistError};
 use crate::pool;
 use crate::query::{
@@ -184,12 +186,14 @@ pub struct SessionStats {
     /// Replacements whose body was identical to the current one:
     /// nothing was dirtied, every cache carried over.
     pub noop_edits: usize,
-    /// Function parts (range + LR) re-analyzed from the body.
+    /// Functions whose ranges and LR states were re-analyzed from the
+    /// body.
     pub parts_reanalyzed: usize,
-    /// Cached parts carried over (as-is or rebased).
+    /// Functions whose ranges and LR states were carried over from the
+    /// previous module arenas.
     pub parts_reused: usize,
     /// Subset of [`SessionStats::parts_reused`] whose symbol-id block
-    /// moved and was rebased by a monotone renaming.
+    /// moved, so the assembly renamed their symbols onto the new block.
     pub parts_rebased: usize,
     /// Weak components whose GR fixpoint was re-solved from seeds —
     /// all of it, or the edit's slice of it.
@@ -231,20 +235,11 @@ struct CompCache {
 /// trajectory a slice could reuse.
 const TRIPPED: u32 = u32::MAX;
 
-/// The fewest moved parts a rebuild rebases on the pool. Rebased
-/// arenas outlive the rebuild, and allocating a small session's on
-/// worker threads raised `tenant_fleet` peak RSS from 84–87 to 91–99 MiB.
-/// A scratch build moves every part, and rebasing them all serially
-/// instead raised perfbench `cold_module` peak RSS from 287 to 305 MiB
-/// (medians of 10 alternating pairs, 8 worse) and slowed the
-/// 1.09M-instruction `trajectory` scratch arm from 16.1/20.4 s to
-/// 17.1/24.9 s (two pairs); all on a 2-core host.
-const REBASE_FANOUT: usize = 512;
-
 /// Everything a session derives from its module: the module itself,
-/// the per-function parts with their dense symbol-id blocks,
 /// CFGs, the call graph, the GR fixpoint metadata, the assembled
-/// analysis and the matrices.
+/// analysis (whose range, LR and GR module arenas are the only copy of
+/// the states; an update carries clean functions out of them) and the
+/// matrices.
 ///
 /// [`Caches::rebuild`] reads one value through `&self` and returns the
 /// next; the session commits it by swap. An update therefore lands
@@ -253,8 +248,6 @@ const REBASE_FANOUT: usize = 512;
 #[derive(Clone)]
 pub(crate) struct Caches {
     module: Module,
-    range_parts: Vec<RangePart>,
-    lr_parts: Vec<LrPart>,
     cfgs: Vec<Arc<Cfg>>,
     callgraph: CallGraph,
     /// The call graph's condensation (the old SCCs an edit compares
@@ -320,8 +313,6 @@ pub(crate) fn scratch(
         cond: Condensation::build(&callgraph),
         callgraph,
         module: empty,
-        range_parts: Vec::new(),
-        lr_parts: Vec::new(),
         cfgs: Vec::new(),
         components: Vec::new(),
         gr_trip: false,
@@ -941,11 +932,11 @@ impl AnalysisSession {
 
 impl Caches {
     /// Computes the caches after the update `plan` describes, reading
-    /// the current ones: re-analyzes the edited functions' parts and
-    /// rebases the rest, re-solves the edit's GR slice and carries
-    /// every other function's fixpoint over, and rebuilds the matrices
-    /// whose verdicts may have changed. Counts what it reused and
-    /// recomputed into `stats`.
+    /// the current ones: re-analyzes the edited functions and carries
+    /// the rest out of the current module arenas, re-solves the edit's
+    /// GR slice and carries every other function's fixpoint over, and
+    /// rebuilds the matrices whose verdicts may have changed. Counts
+    /// what it reused and recomputed into `stats`.
     fn rebuild(
         &self,
         plan: Plan,
@@ -980,94 +971,67 @@ impl Caches {
             }
         };
 
-        // -- 1. Function parts: recompute edited, rebase the rest. ----
+        // -- 1. Function parts: analyze the edited functions, carry ----
+        // the rest. Fresh parts are minted from symbol 0; the assembly
+        // renames them onto their blocks, and imports every clean
+        // function's ranges and LR states straight out of the previous
+        // module arenas under `s ↦ s − old_base + new_base`.
         let t_parts = std::time::Instant::now();
         let todo: Vec<usize> = (0..nf).filter(|&i| edited[i]).collect();
         let mut fresh = pool
             .run_indexed(todo.len(), |k| {
-                let fid = FuncId::new(todo[k]);
-                (
-                    sra_range::analyze_function_part(m.function(fid), config.range, 0),
-                    lr::analyze_function_part(m, fid, 0),
-                )
+                let f = FuncId::new(todo[k]);
+                let range = sra_range::analyze_function_part(m.function(f), config.range, 0);
+                let local = lr::analyze_function_part(m, f, 0);
+                (Box::new(range), Box::new(local))
             })
             .into_iter();
-        // Prefix-sum the symbol bases and rebase, on the pool, every
-        // part whose block moved.
-        // Each moved part is handed to its job, so the arena it replaces
-        // is freed as soon as it is rebased.
-        let (mut range_base, mut lr_base) = (0u32, 0u32);
-        let mut parts: Vec<Option<(RangePart, LrPart)>> = Vec::with_capacity(nf);
-        let mut moved = Vec::new();
-        for i in 0..nf {
-            let (r, l) = if edited[i] {
-                stats.parts_reanalyzed += 1;
-                fresh.next().expect("one part per edited function")
-            } else {
-                stats.parts_reused += 1;
-                let o = old_of[i];
-                (self.range_parts[o].clone(), self.lr_parts[o].clone())
-            };
-            let bases = (range_base, lr_base);
-            range_base += r.symbol_names.len() as u32;
-            lr_base += l.symbol_names.len() as u32;
-            if bases == (r.first_symbol, l.first_symbol) {
-                parts.push(Some((r, l)));
-            } else {
-                stats.parts_rebased += usize::from(!edited[i]);
-                moved.push((i, r, l, bases));
-                parts.push(None);
-            }
-        }
-        let rebase = |(i, mut r, mut l, (rb, lb)): (usize, RangePart, LrPart, _)| {
-            r.rebase(rb);
-            l.rebase(lb);
-            (i, r, l)
-        };
-        let rebased = if moved.len() < REBASE_FANOUT {
-            moved.into_iter().map(rebase).collect()
-        } else {
-            pool.run_map(moved, rebase)
-        };
-        for (i, r, l) in rebased {
-            parts[i] = Some((r, l));
-        }
-        let (range_parts, lr_parts): (Vec<RangePart>, Vec<LrPart>) = parts
-            .into_iter()
-            .map(|p| p.expect("every part placed"))
-            .unzip();
         let parts_ns = ns_since(t_parts);
         let t_assemble = std::time::Instant::now();
-        let ranges = RangeAnalysis::from_parts_on(range_parts.clone(), pool);
-        let lr = LrAnalysis::from_parts_on(lr_parts.clone(), pool);
+        let (old_ranges, old_lr) = (self.rbaa.ranges(), self.rbaa.lr());
+        let (range_sources, lr_sources): (Vec<_>, Vec<_>) = (0..nf)
+            .map(|i| match edited[i] {
+                true => {
+                    let (r, l) = fresh.next().expect("one part per edited function");
+                    (RangeSource::Fresh(r), LrSource::Fresh(l))
+                }
+                false => {
+                    let o = FuncId::new(old_of[i]);
+                    (
+                        RangeSource::Carried(old_ranges, o),
+                        LrSource::Carried(old_lr, o),
+                    )
+                }
+            })
+            .unzip();
+        let ranges = RangeAnalysis::assemble_on(range_sources, pool);
+        let lr = LrAnalysis::assemble_on(lr_sources, pool);
         let assemble_ns = ns_since(t_assemble);
+        stats.parts_reanalyzed += todo.len();
+        stats.parts_reused += nf - todo.len();
+        for i in (0..nf).filter(|&i| !edited[i]) {
+            let (f, o) = (FuncId::new(i), FuncId::new(old_of[i]));
+            let moved = ranges.symbol_block(f).start != old_ranges.symbol_block(o).start
+                || lr.symbol_block(f).start != old_lr.symbol_block(o).start;
+            stats.parts_rebased += usize::from(moved);
+        }
 
         // -- 2. The old→new renaming maps for carried GR states. ------
         let t_gr = std::time::Instant::now();
         let locs = LocTable::build(m);
         let old_gr = self.rbaa.gr();
         let old_locs = old_gr.locs();
-        // Old symbol → owning old function, by binary search over the
-        // old block spans.
-        let old_owner = |s: Symbol| -> Option<usize> {
-            let i = self
-                .range_parts
-                .partition_point(|p| p.first_symbol <= s.index());
-            let p = &self.range_parts[i.checked_sub(1)?];
-            (s.index() < p.first_symbol + p.symbol_names.len() as u32).then_some(i - 1)
-        };
         let map_symbol = |s: Symbol| -> Option<Symbol> {
-            let old = old_owner(s)?;
-            let new = new_fid_of(old)?;
+            let old = old_ranges.symbol_owner(s)?;
+            let new = new_fid_of(old.index())?;
             if edited[new] {
                 // The block was re-minted; old symbols have no
                 // guaranteed counterpart.
                 return None;
             }
-            let delta = range_parts[new].first_symbol;
-            Some(Symbol::new(
-                s.index() - self.range_parts[old].first_symbol + delta,
-            ))
+            let from = old_ranges.symbol_block(old).start;
+            let to = ranges.symbol_block(FuncId::new(new)).start;
+            Some(Symbol::new(s.index() - from + to))
         };
         let map_loc = |l: LocId| -> Option<LocId> {
             let site = old_locs.site(l);
@@ -1420,8 +1384,6 @@ impl Caches {
         };
         let caches = Caches {
             module,
-            range_parts,
-            lr_parts,
             cfgs,
             callgraph,
             cond,
@@ -1440,8 +1402,8 @@ impl Caches {
 // ---------------------------------------------------------------------
 
 impl AnalysisSession {
-    /// Serializes the complete session — module, per-function parts,
-    /// GR fixpoint, component caches, matrices or demand cache, and
+    /// Serializes the complete session — module, bootstrap ranges, LR
+    /// states, GR fixpoint, component caches, matrices or demand cache, and
     /// counters — as a versioned, checksummed snapshot stream.
     ///
     /// Saves are byte-deterministic: saving the same session twice
@@ -1462,25 +1424,33 @@ impl AnalysisSession {
         // Per-function items are length-framed (format v2) so the
         // loader can split each section into independent slices and
         // decode them on its worker pool.
+        let nf = c.module.num_functions();
+        let (ranges, lr) = (c.rbaa.ranges(), c.rbaa.lr());
         let mut enc = persist::Enc::new();
-        enc.usize(c.range_parts.len());
-        for p in &c.range_parts {
-            enc.nested(|e| persist::encode_range_part(e, p));
-        }
-        enc.finish_section(w, persist::tag::RANGE_PARTS)?;
+        persist::encode_symbolic_section(
+            &mut enc,
+            ranges.arena(),
+            ranges.symbols(),
+            (0..nf).map(|i| ranges.symbol_block(FuncId::new(i))),
+            |f, e| persist::encode_range_ids(e, ranges.function(f).all_ranges()),
+        );
+        enc.finish_section(w, persist::tag::RANGES)?;
 
         let mut enc = persist::Enc::new();
-        enc.usize(c.lr_parts.len());
-        for p in &c.lr_parts {
-            enc.nested(|e| persist::encode_lr_part(e, p));
-        }
-        enc.finish_section(w, persist::tag::LR_PARTS)?;
+        persist::encode_symbolic_section(
+            &mut enc,
+            lr.arena(),
+            lr.symbols(),
+            (0..nf).map(|i| lr.symbol_block(FuncId::new(i))),
+            |f, e| persist::encode_lr_states(e, lr.function_states(f)),
+        );
+        enc.finish_section(w, persist::tag::LR)?;
 
         let mut enc = persist::Enc::new();
         let gr = c.rbaa.gr();
         persist::encode_arena(&mut enc, gr.arena());
         enc.u32(gr.ascending_sweeps());
-        enc.usize(c.module.num_functions());
+        enc.usize(nf);
         for f in c.module.func_ids() {
             let states = gr.function_states(f);
             enc.nested(|e| {
@@ -1584,107 +1554,34 @@ impl AnalysisSession {
         dec.finish()?;
         let nf = module.num_functions();
 
-        // Splits a section into its per-item slices (format v2 frames
-        // every item), so item decodes are independent pool jobs.
-        // Validation that chains across items (symbol-base accumulation)
-        // stays serial below; errors surface in index order.
-        fn slices<'a>(mut dec: persist::Dec<'a>, n: usize) -> Result<Vec<&'a [u8]>, PersistError> {
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(dec.bytes()?);
-            }
-            dec.finish()?;
-            Ok(out)
-        }
+        // Every per-function frame decodes on the pool; the range and
+        // LR sections decode straight into the assembled analyses.
+        let buf = persist::expect_section(r, persist::tag::RANGES)?;
+        let (arena, per_func) =
+            persist::decode_symbolic_section(&buf, &module, &pool, persist::decode_range_ids)?;
+        let ranges = RangeAnalysis::from_raw(arena, per_func);
 
-        let buf = persist::expect_section(r, persist::tag::RANGE_PARTS)?;
-        let mut dec = persist::Dec::new(&buf);
-        if dec.len(1)? != nf {
-            return Err(persist::corrupt(
-                "range-part table does not match the module",
-            ));
-        }
-        let chunks = slices(dec, nf)?;
-        let decoded = pool.run_indexed(nf, |i| {
-            let mut d = persist::Dec::new(chunks[i]);
-            let p = persist::decode_range_part(&mut d)?;
-            d.finish()?;
-            Ok::<_, PersistError>(p)
-        });
-        let mut range_parts = Vec::with_capacity(nf);
-        let mut base = 0u32;
-        for (i, p) in decoded.into_iter().enumerate() {
-            let p = p?;
-            if p.ranges.len() != module.function(FuncId::new(i)).num_values()
-                || p.first_symbol != base
-            {
-                return Err(persist::corrupt("range part does not match its function"));
-            }
-            base += p.symbol_names.len() as u32;
-            range_parts.push(p);
-        }
-
-        let buf = persist::expect_section(r, persist::tag::LR_PARTS)?;
-        let mut dec = persist::Dec::new(&buf);
-        if dec.len(1)? != nf {
-            return Err(persist::corrupt("LR-part table does not match the module"));
-        }
-        let chunks = slices(dec, nf)?;
-        let decoded = pool.run_indexed(nf, |i| {
-            let func = module.function(FuncId::new(i));
-            let mut d = persist::Dec::new(chunks[i]);
-            let p = persist::decode_lr_part(
-                &mut d,
-                func.num_values(),
-                func.num_blocks(),
-                module.num_globals(),
-            )?;
-            d.finish()?;
-            Ok::<_, PersistError>(p)
-        });
-        let mut lr_parts = Vec::with_capacity(nf);
-        let mut base = 0u32;
-        for p in decoded {
-            let p = p?;
-            if p.first_symbol != base {
-                return Err(persist::corrupt("LR part does not match its function"));
-            }
-            base += p.symbol_names.len() as u32;
-            lr_parts.push(p);
-        }
+        let buf = persist::expect_section(r, persist::tag::LR)?;
+        let (arena, per_func) =
+            persist::decode_symbolic_section(&buf, &module, &pool, |d, f, a| {
+                persist::decode_lr_states(d, f, a, module.num_globals())
+            })?;
+        let lr = LrAnalysis::from_raw(arena, per_func);
 
         let buf = persist::expect_section(r, persist::tag::GR)?;
         let mut dec = persist::Dec::new(&buf);
         let gr_arena = persist::decode_arena(&mut dec)?;
         let ascending_sweeps = dec.u32()?;
         let locs = LocTable::build(&module);
-        if dec.len(8)? != nf {
-            return Err(persist::corrupt("GR state table does not match the module"));
-        }
-        let chunks = slices(dec, nf)?;
-        let decoded = pool.run_indexed(nf, |i| {
+        let gr_states = persist::decode_framed(dec, nf, "GR state", &pool, |i, d| {
             let nv = module.function(FuncId::new(i)).num_values();
-            let mut d = persist::Dec::new(chunks[i]);
             if d.len(1)? != nv {
                 return Err(persist::corrupt("GR states do not match their function"));
             }
-            let mut states = Vec::with_capacity(nv);
-            for _ in 0..nv {
-                states.push(persist::decode_ptr_state(&mut d, locs.len(), &gr_arena)?);
-            }
-            d.finish()?;
-            Ok(std::sync::Arc::new(states))
-        });
-        let mut gr_states = Vec::with_capacity(nf);
-        for states in decoded {
-            gr_states.push(states?);
-        }
-        let gr = GrAnalysis::from_raw(
-            locs,
-            gr_states,
-            std::sync::Arc::new(gr_arena),
-            ascending_sweeps,
-        );
+            let states = (0..nv).map(|_| persist::decode_ptr_state(d, locs.len(), &gr_arena));
+            Ok(Arc::new(states.collect::<Result<_, _>>()?))
+        })?;
+        let gr = GrAnalysis::from_raw(locs, gr_states, Arc::new(gr_arena), ascending_sweeps);
 
         let buf = persist::expect_section(r, persist::tag::COMPONENTS)?;
         let mut dec = persist::Dec::new(&buf);
@@ -1720,33 +1617,21 @@ impl AnalysisSession {
         dec.finish()?;
 
         let buf = persist::expect_section(r, persist::tag::MATRICES)?;
-        let mut dec = persist::Dec::new(&buf);
-        let n_matrices = dec.len(8)?;
-        let expected = if config.query_mode == QueryMode::Matrix {
-            nf
-        } else {
-            0
+        let n_matrices = match config.query_mode {
+            QueryMode::Matrix => nf,
+            QueryMode::Demand => 0,
         };
-        if n_matrices != expected {
-            return Err(persist::corrupt(
-                "matrix table does not match the query mode",
-            ));
-        }
-        let chunks = slices(dec, n_matrices)?;
-        let decoded = pool.run_indexed(n_matrices, |i| {
-            let ptrs = crate::query::pointer_values(&module, FuncId::new(i));
-            let mut d = persist::Dec::new(chunks[i]);
-            let mx = AliasMatrix::decode(&mut d, &ptrs)?;
-            d.finish()?;
-            Ok::<_, PersistError>(std::sync::Arc::new(mx))
-        });
-        let mut matrices = Vec::with_capacity(n_matrices);
-        for mx in decoded {
-            matrices.push(mx?);
-        }
+        let matrices = persist::decode_framed(
+            persist::Dec::new(&buf),
+            n_matrices,
+            "matrix",
+            &pool,
+            |i, d| {
+                let ptrs = crate::query::pointer_values(&module, FuncId::new(i));
+                Ok(Arc::new(AliasMatrix::decode(d, &ptrs)?))
+            },
+        )?;
 
-        let ranges = RangeAnalysis::from_parts_on(range_parts.clone(), &pool);
-        let lr = LrAnalysis::from_parts_on(lr_parts.clone(), &pool);
         let rbaa = RbaaAnalysis::from_pieces(ranges, gr, lr);
 
         let buf = persist::expect_section(r, persist::tag::DEMAND)?;
@@ -1787,8 +1672,6 @@ impl AnalysisSession {
         let caches = Caches {
             cfgs: gr::build_cfgs(&module),
             module,
-            range_parts,
-            lr_parts,
             cond: Condensation::build(&callgraph),
             callgraph,
             components,

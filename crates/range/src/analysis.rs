@@ -10,6 +10,7 @@
 //! only on the analyzed ranges, never on which thread produced which
 //! part or what intermediate junk a part arena accumulated.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sra_ir::cfg::Cfg;
@@ -58,69 +59,57 @@ impl FunctionRanges {
     }
 
     /// Iterates over the ranges of all values.
-    pub fn all_ranges(&self) -> impl Iterator<Item = RangeId> + '_ {
+    pub fn all_ranges(&self) -> impl ExactSizeIterator<Item = RangeId> + '_ {
         self.ranges.iter().copied()
     }
 }
 
 /// The per-function output of the bootstrap analysis: the final ranges
 /// in the part's own arena, plus the kernel-symbol names the function
-/// minted, in minting order.
+/// minted from `first_symbol`, in minting order.
 ///
-/// Parts exist so that functions can be analyzed on worker threads: a
-/// function's first symbol id is the total symbol count of the
-/// functions before it (fixed up front from [`symbol_budget`]s, or
-/// afterwards by [`RangePart::rebase`]), and each part owns its arena,
-/// so workers never share an allocator and the assembled result is
-/// byte-identical to the serial one no matter how the work was
-/// scheduled.
+/// Parts are transient: they let functions be analyzed on worker
+/// threads, each into its own arena, and live only until an assembly
+/// ([`RangeAnalysis::from_parts`], [`RangeAnalysis::assemble_on`])
+/// imports them into the module arena. The import renames the part's
+/// symbols onto the function's block there, so a part minted from any
+/// `first_symbol` assembles to the same ids, and the result is
+/// byte-identical to the serial one however the work was scheduled.
 #[derive(Debug, Clone)]
 pub struct RangePart {
-    /// The part's private arena (shared by reference with an
-    /// incremental session's cache — cloning a part is a refcount
-    /// bump).
-    pub arena: Arc<ExprArena>,
+    /// The part's private arena.
+    pub arena: ExprArena,
     /// Ranges of the function's values, as ids into [`RangePart::arena`].
-    pub ranges: Arc<Vec<RangeId>>,
+    pub ranges: Vec<RangeId>,
     /// The `first_symbol` this part was analyzed with.
     pub first_symbol: u32,
-    /// Names of the symbols minted, starting at `first_symbol` (shared,
-    /// like the arena, so cloning a part copies no strings).
-    pub symbol_names: Arc<[String]>,
+    /// Names of the symbols minted, starting at `first_symbol`.
+    pub symbol_names: Vec<String>,
 }
 
-impl RangePart {
-    /// Rebases the part onto a new `first_symbol`, remapping every
-    /// symbol it minted by the same delta — an arena-to-arena *import*
-    /// under a monotone renaming, which commutes with the analysis, so
-    /// the result is exactly the part [`analyze_function_part`] would
-    /// have produced at `new_first` (down to the module arena the parts
-    /// later assemble into). This is what lets an incremental session
-    /// reuse the cached part of an unedited function whose symbol-id
-    /// block merely moved when an *earlier* function's budget changed.
-    pub fn rebase(&mut self, new_first: u32) {
-        if new_first == self.first_symbol {
-            return;
+/// Where [`RangeAnalysis::assemble_on`] takes one function's ranges
+/// from.
+#[derive(Debug)]
+pub enum RangeSource<'a> {
+    /// A freshly analyzed part.
+    Fresh(Box<RangePart>),
+    /// A function of an earlier assembled analysis, carried over: its
+    /// ranges are imported straight out of that analysis' module arena.
+    Carried(&'a RangeAnalysis, FuncId),
+}
+
+impl RangeSource<'_> {
+    /// The source arena, the function's ranges in it, the first symbol
+    /// they mention and the names of the function's symbols.
+    fn view(&self) -> (&ExprArena, &[RangeId], u32, &[String]) {
+        match self {
+            RangeSource::Fresh(p) => (&p.arena, &p.ranges, p.first_symbol, &p.symbol_names),
+            RangeSource::Carried(from, f) => {
+                let block = from.symbol_block(*f);
+                let ranges = &from.per_func[f.index()].ranges;
+                (&from.arena, ranges, block.start, from.symbols.names(block))
+            }
         }
-        let old = self.first_symbol;
-        let budget = self.symbol_names.len() as u32;
-        let rename = |s: Symbol| {
-            debug_assert!(
-                s.index() >= old && (s.index() - old) < budget,
-                "range parts only mention their own symbol block"
-            );
-            Symbol::new(s.index() - old + new_first)
-        };
-        let mut dst = ExprArena::new();
-        let mut map = ImportMap::default();
-        let ranges = self
-            .ranges
-            .iter()
-            .map(|&r| dst.import_range(&self.arena, r, &rename, &mut map))
-            .collect();
-        self.arena = Arc::new(dst);
-        self.ranges = Arc::new(ranges);
-        self.first_symbol = new_first;
     }
 }
 
@@ -130,6 +119,8 @@ impl RangePart {
 pub struct RangeAnalysis {
     per_func: Vec<FunctionRanges>,
     symbols: SymbolTable,
+    /// Function `f`'s symbols are `bases[f]..bases[f + 1]`.
+    bases: Vec<u32>,
     arena: Arc<ExprArena>,
 }
 
@@ -153,37 +144,28 @@ impl RangeAnalysis {
 
     /// Reassembles a whole-module result from per-function parts, in
     /// function order, importing every part arena into one module
-    /// arena. Each part must have been produced with `first_symbol`
-    /// equal to the total symbol count of the parts before it (as
-    /// [`RangeAnalysis::analyze_with`] and the pooled pipeline do).
+    /// arena. Each function's symbols get the next dense block, and the
+    /// import renames a part's symbols `s ↦ s − first_symbol + base`
+    /// onto it (the identity for parts analyzed at their prefix bases,
+    /// as [`RangeAnalysis::analyze_with`] does). The serial reference
+    /// for [`RangeAnalysis::assemble_on`].
     ///
     /// The import walks the final range *structures* in function/value
     /// order, so the module arena — and every [`RangeId`] this analysis
     /// hands out — is a pure function of the analyzed ranges:
     /// separately assembled but byte-identical analyses (serial vs
     /// batched, scratch vs incremental session) agree id-for-id.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the parts' symbol bases do not line up.
     pub fn from_parts(parts: Vec<RangePart>) -> Self {
-        let mut symbols = SymbolTable::new();
+        let (symbols, bases) = SymbolTable::from_blocks(parts.iter().map(|p| &p.symbol_names[..]));
         let mut arena = ExprArena::new();
         let mut per_func = Vec::with_capacity(parts.len());
-        for part in parts {
-            assert_eq!(
-                part.first_symbol as usize,
-                symbols.len(),
-                "range parts assembled out of order or with wrong bases"
-            );
-            for name in part.symbol_names.iter() {
-                symbols.fresh(name);
-            }
+        for (part, &base) in parts.iter().zip(&bases) {
+            let rename = |s: Symbol| Symbol::new(s.index() - part.first_symbol + base);
             let mut map = ImportMap::default();
             let ranges = part
                 .ranges
                 .iter()
-                .map(|&r| arena.import_range(&part.arena, r, &|s| s, &mut map))
+                .map(|&r| arena.import_range(&part.arena, r, &rename, &mut map))
                 .collect();
             arena.absorb_op_stats(&part.arena);
             per_func.push(FunctionRanges { ranges });
@@ -191,65 +173,85 @@ impl RangeAnalysis {
         RangeAnalysis {
             per_func,
             symbols,
+            bases,
             arena: Arc::new(arena),
         }
     }
 
-    /// [`RangeAnalysis::from_parts`] with the per-part imports fanned
-    /// out on `pool`: each part is imported into a private overlay over
-    /// a shared frozen empty arena, and the overlays are merged into
-    /// the module arena in function order.
-    ///
-    /// Byte-identical to the serial walk: an overlay records part `k`'s
-    /// structures in the same first-encounter order the serial import
-    /// attempts its interns, and [`ExprArena::adopt`] dedups nodes
-    /// already contributed by parts `0..k` while appending the genuinely
-    /// new ones in overlay order — so every assembled
-    /// [`RangeId`]/[`sra_symbolic::ExprId`] comes out the same. A width-1 pool takes
-    /// the serial path directly (the fan-out imports each part twice, so
-    /// it only pays off with real parallelism).
+    /// [`RangeAnalysis::assemble_on`] of fresh parts.
     pub fn from_parts_on(parts: Vec<RangePart>, pool: &WorkerPool) -> Self {
-        if pool.threads() == 1 || parts.len() <= 1 {
-            return Self::from_parts(parts);
-        }
-        let mut symbols = SymbolTable::new();
-        for part in &parts {
-            assert_eq!(
-                part.first_symbol as usize,
-                symbols.len(),
-                "range parts assembled out of order or with wrong bases"
-            );
-            for name in part.symbol_names.iter() {
-                symbols.fresh(name);
-            }
-        }
-        let empty = Arc::new(ExprArena::new());
-        let imported: Vec<(Vec<RangeId>, sra_symbolic::OverlayPart)> =
-            pool.run_indexed(parts.len(), |i| {
-                let part = &parts[i];
-                let mut overlay = ExprArena::with_base(Arc::clone(&empty));
+        let sources = parts.into_iter().map(|p| RangeSource::Fresh(Box::new(p)));
+        Self::assemble_on(sources.collect(), pool)
+    }
+
+    /// Assembles a whole-module result from one source per function, in
+    /// function order, with the per-function imports fanned out on
+    /// `pool` ([`ExprArena::assemble_on`]). A fresh part is renamed as
+    /// in [`RangeAnalysis::from_parts`]; a carried function's ranges
+    /// are imported out of its analysis' module arena under
+    /// `s ↦ s − old_base + base`. Both renamings are monotone and the
+    /// import is structure-driven, so the result is byte-identical to
+    /// `from_parts` over fresh parts of every function.
+    pub fn assemble_on(sources: Vec<RangeSource<'_>>, pool: &WorkerPool) -> Self {
+        let views: Vec<_> = sources.iter().map(RangeSource::view).collect();
+        let (symbols, bases) = SymbolTable::from_blocks(views.iter().map(|v| v.3));
+        let (mut arena, per_func) = ExprArena::assemble_on(
+            views.len(),
+            pool,
+            |i, arena| {
+                let (src, ranges, first, _) = views[i];
+                let rename = |s: Symbol| Symbol::new(s.index() - first + bases[i]);
                 let mut map = ImportMap::default();
-                let ranges = part
-                    .ranges
+                let ranges = ranges
                     .iter()
-                    .map(|&r| overlay.import_range(&part.arena, r, &|s| s, &mut map))
+                    .map(|&r| arena.import_range(src, r, &rename, &mut map))
                     .collect();
-                (ranges, overlay.into_overlay_part())
-            });
-        let mut arena = ExprArena::new();
-        let mut per_func = Vec::with_capacity(parts.len());
-        for ((ranges, overlay), part) in imported.into_iter().zip(&parts) {
-            let xl = arena.adopt(overlay);
-            arena.absorb_op_stats(&part.arena);
-            per_func.push(FunctionRanges {
-                ranges: ranges.into_iter().map(|r| xl.range(r)).collect(),
-            });
+                FunctionRanges { ranges }
+            },
+            |f, xl| f.ranges.iter_mut().for_each(|r| *r = xl.range(*r)),
+        );
+        for source in &sources {
+            if let RangeSource::Fresh(part) = source {
+                arena.absorb_op_stats(&part.arena);
+            }
         }
         RangeAnalysis {
             per_func,
             symbols,
+            bases,
             arena: Arc::new(arena),
         }
+    }
+
+    /// Rebuilds an assembled analysis from its module arena and, per
+    /// function, its ranges and symbol names — a snapshot's contents,
+    /// whose ids the decoder has validated against `arena`.
+    pub fn from_raw(arena: ExprArena, per_func: Vec<(Vec<RangeId>, Vec<String>)>) -> Self {
+        let (symbols, bases) = SymbolTable::from_blocks(per_func.iter().map(|f| &f.1[..]));
+        RangeAnalysis {
+            per_func: per_func
+                .into_iter()
+                .map(|(ranges, _)| FunctionRanges { ranges })
+                .collect(),
+            symbols,
+            bases,
+            arena: Arc::new(arena),
+        }
+    }
+
+    /// The symbol ids of `f`'s kernel symbols: a dense block after the
+    /// blocks of the functions before it.
+    pub fn symbol_block(&self, f: FuncId) -> Range<u32> {
+        self.bases[f.index()]..self.bases[f.index() + 1]
+    }
+
+    /// The function whose [`RangeAnalysis::symbol_block`] holds `s`.
+    pub fn symbol_owner(&self, s: Symbol) -> Option<FuncId> {
+        let f = self
+            .bases
+            .partition_point(|&b| b <= s.index())
+            .checked_sub(1)?;
+        (f < self.per_func.len() && s.index() < self.bases[f + 1]).then_some(FuncId::new(f))
     }
 
     /// Ranges of one function.
@@ -327,10 +329,10 @@ pub fn analyze_function_part(f: &Function, config: RangeConfig, first_symbol: u3
         "symbol_budget must match what seeding mints"
     );
     RangePart {
-        arena: Arc::new(solver.arena),
-        ranges: Arc::new(solver.ranges),
+        arena: solver.arena,
+        ranges: solver.ranges,
         first_symbol,
-        symbol_names: minter.names.into(),
+        symbol_names: minter.names,
     }
 }
 
@@ -786,30 +788,30 @@ mod tests {
         assert_eq!(show(&ra, fid, j), "[0, max(0, m)]");
     }
 
-    /// Rebasing a part is byte-identical to re-analyzing at the new
-    /// base: the arena import commutes with the analysis.
+    /// A part analyzed at any `first_symbol` assembles to the ids and
+    /// symbol names of one analyzed at its prefix base: the assembly's
+    /// monotone renaming commutes with the analysis.
     #[test]
-    fn rebase_equals_reanalysis() {
-        let (m, fid, _) = counted_loop(0, 1);
-        let f = m.function(fid);
-        let mut part = analyze_function_part(f, RangeConfig::default(), 0);
-        part.rebase(7);
-        let fresh = analyze_function_part(f, RangeConfig::default(), 7);
-        assert_eq!(part.first_symbol, fresh.first_symbol);
-        assert_eq!(part.symbol_names, fresh.symbol_names);
-        for (a, b) in part.ranges.iter().zip(fresh.ranges.iter()) {
-            assert_eq!(part.arena.range_value(*a), fresh.arena.range_value(*b));
+    fn any_first_symbol_assembles_like_the_prefix_base() {
+        let (mut m, f0, _) = counted_loop(0, 1);
+        let f1 = m.add_function(m.function(f0).clone());
+        let part = |f, first| analyze_function_part(m.function(f), RangeConfig::default(), first);
+        let reference = RangeAnalysis::from_parts(vec![part(f0, 0), part(f1, 1)]);
+        for first in [0, 1, 7] {
+            let assembled = RangeAnalysis::from_parts(vec![part(f0, first), part(f1, first)]);
+            assert!(assembled.symbols().iter().eq(reference.symbols().iter()));
+            for f in m.func_ids() {
+                assert_eq!(assembled.symbol_block(f), reference.symbol_block(f));
+                for v in m.function(f).value_ids() {
+                    assert_eq!(
+                        assembled.range(f, v),
+                        reference.range(f, v),
+                        "{first} {f} {v}"
+                    );
+                }
+            }
         }
-        // And assembling either into a module arena gives identical ids.
-        let via_rebase = RangeAnalysis::from_parts(vec![{
-            let mut p = analyze_function_part(f, RangeConfig::default(), 3);
-            p.rebase(0);
-            p
-        }]);
-        let via_fresh =
-            RangeAnalysis::from_parts(vec![analyze_function_part(f, RangeConfig::default(), 0)]);
-        for v in f.value_ids() {
-            assert_eq!(via_rebase.range(fid, v), via_fresh.range(fid, v));
-        }
+        assert_eq!(reference.symbol_owner(Symbol::new(1)), Some(f1));
+        assert_eq!(reference.symbol_owner(Symbol::new(2)), None);
     }
 }

@@ -63,4 +63,5 @@ mod analysis;
 
 pub use analysis::{
     analyze_function_part, symbol_budget, FunctionRanges, RangeAnalysis, RangeConfig, RangePart,
+    RangeSource,
 };

@@ -15,8 +15,9 @@
 //!   tests — reduces to two memoised endpoint comparisons
 //!   ([`ExprArena::ranges_disjoint`]),
 //! * moving analysis state between arenas (per-function part arenas →
-//!   one module arena, or an incremental session rebasing a cached part
-//!   onto a shifted symbol block) is a structure-driven *import*
+//!   one module arena, or an incremental session carrying a function's
+//!   states out of the previous module arena onto a shifted symbol
+//!   block) is a structure-driven *import*
 //!   ([`ExprArena::import_range`]) with a per-source translation table:
 //!   each distinct expression crosses the boundary once.
 //!
@@ -62,6 +63,7 @@ use std::sync::Arc;
 
 use crate::bound::Bound;
 use crate::expr::{Atom, SymExpr, MAX_EXPR_ATOMS};
+use crate::pool::WorkerPool;
 use crate::range::SymRange;
 use crate::symbol::{Symbol, SymbolNames};
 
@@ -635,6 +637,41 @@ impl ExprArena {
             xlate.ranges.push(id);
         }
         xlate
+    }
+
+    /// Runs `import(0, _), …, import(n-1, _)` into one fresh root arena,
+    /// fanned out on `pool`: each job imports into a private overlay over
+    /// a shared frozen empty arena, the overlays are adopted in item
+    /// order, and `relabel` moves each item's ids into the merged arena.
+    /// Byte-identical to the serial walk, because [`ExprArena::adopt`]
+    /// dedups what items `0..k` added and appends item `k`'s new nodes
+    /// in its intern order. A width-1 pool runs the serial walk (the
+    /// fan-out interns each item twice).
+    pub fn assemble_on<T: Send>(
+        n: usize,
+        pool: &WorkerPool,
+        import: impl Fn(usize, &mut ExprArena) -> T + Sync,
+        relabel: impl Fn(&mut T, &OverlayXlate),
+    ) -> (ExprArena, Vec<T>) {
+        let mut arena = ExprArena::new();
+        if pool.threads() == 1 || n <= 1 {
+            let items = (0..n).map(|i| import(i, &mut arena)).collect();
+            return (arena, items);
+        }
+        let empty = Arc::new(ExprArena::new());
+        let imported = pool.run_indexed(n, |i| {
+            let mut overlay = ExprArena::with_base(Arc::clone(&empty));
+            let item = import(i, &mut overlay);
+            (item, overlay.into_overlay_part())
+        });
+        let items = imported
+            .into_iter()
+            .map(|(mut item, overlay)| {
+                relabel(&mut item, &arena.adopt(overlay));
+                item
+            })
+            .collect();
+        (arena, items)
     }
 
     // ------------------------------------------------------------------

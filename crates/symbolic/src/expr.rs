@@ -233,9 +233,9 @@ impl SymExpr {
     /// products, and the argument order of unresolved `min`/`max` — are
     /// preserved, so the result is exactly the expression the analysis
     /// would have built had it minted the renamed symbols in the first
-    /// place. That is what lets an incremental session *rebase* cached
-    /// per-function analysis parts onto shifted symbol-id blocks instead
-    /// of re-running the analysis.
+    /// place. That is what lets an incremental session carry an unedited
+    /// function's states onto a shifted symbol-id block instead of
+    /// re-running the analysis.
     pub fn map_symbols(&self, f: &impl Fn(Symbol) -> Symbol) -> SymExpr {
         let mut out = SymExpr {
             constant: self.constant,

@@ -106,6 +106,26 @@ impl SymbolTable {
             .enumerate()
             .map(|(i, n)| (Symbol::new(i as u32), n.as_str()))
     }
+
+    /// The names of the symbols in `block` (which must lie in the
+    /// table), in index order.
+    pub fn names(&self, block: std::ops::Range<u32>) -> &[String] {
+        &self.names[block.start as usize..block.end as usize]
+    }
+
+    /// Concatenates per-function name blocks into one table, minting
+    /// each block's symbols densely after the previous block's. Returns
+    /// the table and the block boundaries: block `k` is
+    /// `bases[k]..bases[k + 1]`.
+    pub fn from_blocks<'a>(blocks: impl IntoIterator<Item = &'a [String]>) -> (Self, Vec<u32>) {
+        let mut table = SymbolTable::new();
+        let mut bases = vec![0];
+        for block in blocks {
+            table.names.extend_from_slice(block);
+            bases.push(table.names.len() as u32);
+        }
+        (table, bases)
+    }
 }
 
 impl SymbolNames for SymbolTable {

@@ -3,7 +3,7 @@
 //! `map_symbols`, with canonical arithmetic, and with concrete
 //! evaluation ([`Valuation::eval`]) — the contract that lets per-part
 //! arenas assemble into module arenas and lets incremental sessions
-//! rebase cached parts by import instead of re-analysis.
+//! carry unedited functions' states by import instead of re-analysis.
 
 use proptest::prelude::*;
 use sra_symbolic::{

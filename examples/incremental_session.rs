@@ -58,7 +58,7 @@ fn main() {
 
     let stats = session.stats();
     println!(
-        "applied {} edits: {} parts re-analyzed, {} reused ({} rebased onto shifted symbol blocks)",
+        "applied {} edits: {} functions re-analyzed, {} carried ({} renamed onto shifted symbol blocks)",
         stats.edits, stats.parts_reanalyzed, stats.parts_reused, stats.parts_rebased
     );
     println!(

@@ -9,13 +9,21 @@
 //! the one scratch pipeline (`BatchAnalysis::analyze_on`, the session
 //! rebuild with every function dirty), including the GR wave solve and
 //! its re-canonicalized final states — at width N against width 1, and
-//! against the serial layer-by-layer reference.
+//! against the serial layer-by-layer reference. The edit leg pins the
+//! carried assembly: after replace/add/remove edits, sessions at width
+//! 1 and N, and `assemble_on` of carried and fresh functions on a forced
+//! width-N pool, hand out the ids, LR states and symbol tables of the
+//! serial `from_parts` over fresh parts of the edited module.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRunner;
-use sra::core::{lr, AnalysisConfig, BatchAnalysis, LrAnalysis, LrPart, RbaaAnalysis, WorkerPool};
+use sra::core::{
+    lr, AnalysisConfig, AnalysisSession, BatchAnalysis, LrAnalysis, LrPart, LrSource, RbaaAnalysis,
+    WorkerPool,
+};
 use sra::ir::{FuncId, Module};
-use sra::range::{RangeAnalysis, RangePart};
+use sra::range::{RangeAnalysis, RangePart, RangeSource};
+use sra::workloads::edits::{self, Edit};
 
 /// Builds the per-function parts at their final symbol blocks: a serial
 /// budget scan assigning disjoint dense blocks, then one part per
@@ -82,6 +90,10 @@ fn assert_lr_identical(
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(serial.arena().len(), pooled.arena().len(), "expr drift");
     prop_assert_eq!(serial.arena().num_ranges(), pooled.arena().num_ranges());
+    prop_assert_eq!(
+        serial.symbols().iter().collect::<Vec<_>>(),
+        pooled.symbols().iter().collect::<Vec<_>>()
+    );
     for f in m.func_ids() {
         for v in m.function(f).value_ids() {
             prop_assert_eq!(
@@ -152,6 +164,70 @@ fn assert_rbaa_identical(
     Ok(())
 }
 
+/// The edit leg. For every edit of a generated stream: sessions on a
+/// width-1 and a width-`threads` pool (the session's pool is capped at
+/// the hardware), and the carried assembly on a forced width-`threads`
+/// pool — each clean function imported out of the previous module's
+/// serial analysis, each edited one from a part minted at symbol 0 —
+/// all equal the serial `from_parts` of the edited module id-for-id.
+fn assert_edits_identical(m: &Module, threads: usize, seed: u64) -> Result<(), TestCaseError> {
+    let forced = WorkerPool::forced(threads);
+    let mut sessions = [1, threads].map(|t| {
+        let config = AnalysisConfig::builder().threads(t).build();
+        AnalysisSession::with_config(m.clone(), config).expect("generated modules verify")
+    });
+    let config = sessions[0].config();
+    let (range_parts, lr_parts) = build_parts(m, config);
+    let mut old = (
+        RangeAnalysis::from_parts(range_parts),
+        LrAnalysis::from_parts(lr_parts),
+    );
+    for edit in edits::generate_edit_stream(m, 6, seed) {
+        for s in &mut sessions {
+            edits::apply_to_session(s, &edit).expect("stream edits are valid");
+        }
+        let edited = sessions[0].module();
+        let (range_parts, lr_parts) = build_parts(edited, config);
+        let serial = (
+            RangeAnalysis::from_parts(range_parts),
+            LrAnalysis::from_parts(lr_parts),
+        );
+        for s in &sessions {
+            assert_ranges_identical(edited, &serial.0, s.analysis().ranges())?;
+            assert_lr_identical(edited, &serial.1, s.analysis().lr())?;
+        }
+        // Old id of each new function; `None` for the edited one.
+        let old_of = |i: usize| match &edit {
+            Edit::Replace { func, .. } => (i != func.index()).then_some(i),
+            Edit::Add { .. } => (i + 1 < edited.num_functions()).then_some(i),
+            Edit::Remove { func } => Some(i + usize::from(i >= func.index())),
+        };
+        let (range_sources, lr_sources): (Vec<_>, Vec<_>) = edited
+            .func_ids()
+            .map(|f| match old_of(f.index()) {
+                Some(o) => (
+                    RangeSource::Carried(&old.0, FuncId::new(o)),
+                    LrSource::Carried(&old.1, FuncId::new(o)),
+                ),
+                None => (
+                    RangeSource::Fresh(Box::new(sra::range::analyze_function_part(
+                        edited.function(f),
+                        config.range,
+                        0,
+                    ))),
+                    LrSource::Fresh(Box::new(lr::analyze_function_part(edited, f, 0))),
+                ),
+            })
+            .unzip();
+        let carried_ranges = RangeAnalysis::assemble_on(range_sources, &forced);
+        let carried_lr = LrAnalysis::assemble_on(lr_sources, &forced);
+        assert_ranges_identical(edited, &serial.0, &carried_ranges)?;
+        assert_lr_identical(edited, &serial.1, &carried_lr)?;
+        old = serial;
+    }
+    Ok(())
+}
+
 // Tier-1 budget: the Figure-15 generator produces modules with loops,
 // σ-chains, interprocedural calls, mallocs/allocas/frees and globals.
 // `PROPTEST_CASES` overrides.
@@ -168,6 +244,19 @@ proptest! {
     ) {
         let m = sra::workloads::scaling::generate_module(target, seed);
         assert_assembly_identical(&m, threads)?;
+    }
+
+    /// Carried assembly after edits ≡ serial import of fresh parts,
+    /// id-for-id, in sessions and on forced pools.
+    #[test]
+    fn carried_assembly_after_edits_equals_serial_import(
+        target in 150usize..600,
+        seed in 0u64..10_000,
+        edit_seed in 0u64..10_000,
+        threads in 2usize..5,
+    ) {
+        let m = sra::workloads::scaling::generate_module(target, seed);
+        assert_edits_identical(&m, threads, edit_seed)?;
     }
 }
 
@@ -195,7 +284,8 @@ fn deep_fuzz_assembly() {
             &(150usize..900, 0u64..1_000_000, 2usize..5),
             |(target, seed, threads)| {
                 let m = sra::workloads::scaling::generate_module(target, seed);
-                assert_assembly_identical(&m, threads)
+                assert_assembly_identical(&m, threads)?;
+                assert_edits_identical(&m, threads, seed)
             },
         )
         .unwrap();

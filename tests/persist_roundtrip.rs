@@ -238,6 +238,180 @@ fn corruption_is_rejected_never_misread() {
     ));
 }
 
+/// Reads the little-endian `u64` at `at`.
+fn u64_at(p: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(p[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// The byte length of the expression arena encoded at the start of a
+/// range, LR or GR section: expression nodes (constant, terms of
+/// coefficient and tagged atoms), then tagged range nodes.
+fn arena_len(p: &[u8]) -> usize {
+    let mut at = 8;
+    for _ in 0..u64_at(p, 0) {
+        let terms = u64_at(p, at + 16);
+        at += 24;
+        for _ in 0..terms {
+            let atoms = u64_at(p, at + 16);
+            at += 24;
+            for _ in 0..atoms {
+                at += if p[at] == 0 { 5 } else { 9 };
+            }
+        }
+    }
+    let ranges = u64_at(p, at);
+    at += 8;
+    for _ in 0..ranges {
+        at += 1;
+        if p[at - 1] == 1 {
+            for _ in 0..2 {
+                at += if p[at] == 2 { 5 } else { 1 };
+            }
+        }
+    }
+    at
+}
+
+/// `bytes` with the payload of section `tag` rewritten by `edit` and
+/// re-framed: tag, `u64` length, payload, `u64` `FxHasher` checksum.
+fn rewrite(bytes: &[u8], tag: u8, edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut at = 12;
+    while bytes[at] != tag {
+        at += 17 + u64_at(bytes, at + 1);
+    }
+    let end = at + 9 + u64_at(bytes, at + 1);
+    let mut payload = bytes[at + 9..end].to_vec();
+    edit(&mut payload);
+    let mut digest = FxHasher::default();
+    digest.write(&payload);
+    let mut out = bytes[..at + 1].to_vec();
+    out.extend((payload.len() as u64).to_le_bytes());
+    out.extend(&payload);
+    out.extend(digest.finish().to_le_bytes());
+    out.extend(&bytes[end + 8..]);
+    out
+}
+
+/// Consistent damage to the range (tag 2) and LR (tag 3) sections —
+/// re-checksummed, so only the loader's validation can catch it — is a
+/// `PersistError::Corrupt`, never a panic or a loaded session. Both
+/// sections hold the module arena, the symbol-table length, the
+/// function count, then per function a length-framed table and the
+/// names of its symbol block.
+#[test]
+fn rechecksummed_range_and_lr_damage_is_rejected() {
+    let m = scaling::generate_module(200, 4);
+    let session = AnalysisSession::with_config(m, AnalysisConfig::default())
+        .expect("generated modules verify");
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("in-memory save");
+    let m = session.module();
+    let f0 = sra::ir::FuncId::new(0);
+    let nv = m.function(f0).num_values();
+    let (nb, ng) = (m.function(f0).num_blocks() as u32, m.num_globals() as u32);
+    // In a section payload the symbol-table length sits right after
+    // the arena; the first function's table follows the function count
+    // and its frame length.
+    let table = |p: &[u8]| arena_len(p) + 24;
+    let bump = |p: &mut Vec<u8>, at: usize, by: i64| {
+        let v = u64_at(p, at) as i64 + by;
+        p[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
+    };
+    // The LR section with the first function's table replaced by one
+    // whose first value holds `state` (a tagged base, a range id, a
+    // σ-set and an optional block) and every other value none.
+    let lr_with = |state: Vec<u8>| {
+        let names = session.analysis().lr().symbols();
+        let names = names.names(session.analysis().lr().symbol_block(f0));
+        rewrite(&bytes, 3, move |p| {
+            let at = table(p) - 8;
+            let end = at + 8 + u64_at(p, at);
+            let mut frame = (nv as u64).to_le_bytes().to_vec();
+            frame.push(1);
+            frame.extend(&state);
+            frame.resize(frame.len() + nv - 1, 0);
+            frame.extend((names.len() as u64).to_le_bytes());
+            for n in names {
+                frame.extend((n.len() as u64).to_le_bytes());
+                frame.extend(n.as_bytes());
+            }
+            let mut framed = (frame.len() as u64).to_le_bytes().to_vec();
+            framed.extend(frame);
+            p.splice(at..end, framed);
+        })
+    };
+    let state = |base: (u8, u32), sigmas: &[u32], block: Option<u32>| {
+        let mut s = vec![base.0];
+        s.extend(base.1.to_le_bytes());
+        s.extend(0u32.to_le_bytes());
+        s.extend((sigmas.len() as u64).to_le_bytes());
+        sigmas.iter().for_each(|v| s.extend(v.to_le_bytes()));
+        match block {
+            None => s.push(0),
+            Some(b) => {
+                s.push(1);
+                s.extend(b.to_le_bytes());
+            }
+        }
+        s
+    };
+
+    // Well-formed rewrites load: the offsets above are right.
+    let fine = [
+        rewrite(&bytes, 2, |_| {}),
+        lr_with(state((0, 0), &[], Some(0))),
+    ];
+    for ok in fine {
+        AnalysisSession::load(&mut ok.as_slice()).expect("well-formed rewrite loads");
+    }
+    let damaged = [
+        (
+            "range id out of range",
+            rewrite(&bytes, 2, |p| {
+                let at = table(p) + 8;
+                p[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            }),
+        ),
+        (
+            "range table shorter than its function",
+            rewrite(&bytes, 2, |p| bump(p, table(p), -1)),
+        ),
+        (
+            "range symbol counts off the table",
+            rewrite(&bytes, 2, |p| bump(p, arena_len(p), 1)),
+        ),
+        (
+            "LR symbol counts off the table",
+            rewrite(&bytes, 3, |p| bump(p, arena_len(p), 1)),
+        ),
+        (
+            "LR table shorter than its function",
+            rewrite(&bytes, 3, |p| bump(p, table(p), -1)),
+        ),
+        (
+            "LR state naming an unknown value",
+            lr_with(state((0, 0), &[nv as u32], None)),
+        ),
+        (
+            "LR state naming an unknown block",
+            lr_with(state((0, 0), &[], Some(nb))),
+        ),
+        (
+            "LR state naming an unknown global",
+            lr_with(state((1, ng), &[], None)),
+        ),
+    ];
+    for (what, bad) in damaged {
+        assert!(
+            matches!(
+                AnalysisSession::load(&mut bad.as_slice()),
+                Err(PersistError::Corrupt(_))
+            ),
+            "{what} must not load"
+        );
+    }
+}
+
 /// 512-case sweep of the roundtrip property, split across both
 /// generators. Excluded from tier-1; run with
 /// `cargo test -q --release --test persist_roundtrip -- --ignored`.

@@ -5,7 +5,9 @@
 //! GR/LR/range states, same sweep counts, same verdicts and `WhichTest`
 //! attributions, same per-function statistics. This is the rail that
 //! lets the session reuse caches aggressively: any invalidation bug is
-//! a test failure, not a silently stale verdict.
+//! a test failure, not a silently stale verdict. The session's carried
+//! module arenas are pinned byte for byte too: its MODULE, range, LR
+//! and GR snapshot sections equal those of a scratch session.
 //!
 //! A second rail pins the session's targeted batch verification to the
 //! whole-module verifier: random batches of signature changes (with and
@@ -25,10 +27,49 @@ use sra::ir::{Callee, FuncId, Function, FunctionBuilder, Ty};
 use sra::workloads::edits::{self, Edit};
 use sra::workloads::scaling;
 
+/// The snapshot section tags of the module and of the range, LR and GR
+/// analyses (module arenas, per-function ids and symbol names).
+const ANALYSIS_SECTIONS: [u8; 4] = [1, 2, 3, 4];
+
+/// Splits a snapshot into `(tag, payload)` sections with the public
+/// framing: 8 magic bytes and a `u32` format version, then per section
+/// a `u8` tag, a `u64` payload length, the payload and a `u64` checksum
+/// (all little-endian).
+fn sections(bytes: &[u8]) -> Vec<(u8, &[u8])> {
+    let mut out = Vec::new();
+    let mut at = 12;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at + 1..at + 9].try_into().unwrap()) as usize;
+        out.push((bytes[at], &bytes[at + 9..at + 9 + len]));
+        at += 9 + len + 8;
+    }
+    out
+}
+
+fn save(session: &AnalysisSession) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    session.save(&mut bytes).expect("saves");
+    bytes
+}
+
 /// Asserts full byte-identity of `session` against a scratch analysis
 /// of its current module.
 fn assert_matches_scratch(session: &AnalysisSession) -> Result<(), TestCaseError> {
     let m = session.module();
+    let fresh = AnalysisSession::with_config(m.clone(), session.config()).expect("verifies");
+    let (ours, theirs) = (save(session), save(&fresh));
+    let pick = |bytes| {
+        sections(bytes)
+            .into_iter()
+            .filter(|(tag, _)| ANALYSIS_SECTIONS.contains(tag))
+            .collect::<Vec<_>>()
+    };
+    let (ours, theirs) = (pick(&ours), pick(&theirs));
+    prop_assert_eq!(ours.len(), ANALYSIS_SECTIONS.len());
+    for ((tag, a), (_, b)) in ours.iter().zip(&theirs) {
+        prop_assert!(a == b, "snapshot section {} diverged from scratch", tag);
+    }
+
     let scratch = RbaaAnalysis::analyze_with(m, session.config());
     let rbaa = session.analysis();
     prop_assert!(
@@ -309,11 +350,6 @@ fn run_batches(
     let mut session =
         AnalysisSession::with_config(m, AnalysisConfig::builder().threads(threads).build())
             .expect("generated modules verify");
-    let save = |s: &AnalysisSession| {
-        let mut bytes = Vec::new();
-        s.save(&mut bytes).expect("saves");
-        bytes
-    };
     let (mut accepted, mut rejected) = (0, 0);
     for case in 0..batches {
         if session.module().num_functions() == 0 {
@@ -348,8 +384,8 @@ fn run_batches(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Flat modules (many functions, shallow call graph): part rebasing
-    /// and matrix reuse carry the load.
+    /// Flat modules (many functions, shallow call graph): carried
+    /// range/LR imports and matrix reuse carry the load.
     #[test]
     fn session_equals_scratch_on_flat_modules(
         target in 150usize..700,
